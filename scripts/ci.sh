@@ -45,7 +45,10 @@ run_tsan() {
   # and test_svc's trace mode has scheduler lanes emitting while the
   # dispatcher records lifecycle instants), and the autotuner (test_tune
   # — the tuner's measured rungs and the tuned-scheduler test run
-  # threaded configs and scheduler lanes under tuned knob application).
+  # threaded configs and scheduler lanes under tuned knob application),
+  # and the pass-graph executor (test_fusion — its golden ledger drives
+  # every group shape through FastSbm::run_group, including the hetero
+  # split whose host shard runs concurrently with the device side).
   local build_dir="build-ci-tsan"
   echo "=== ThreadSanitizer ==="
   cmake -B "${build_dir}" -S . \
@@ -53,10 +56,10 @@ run_tsan() {
     -DWRF_TSAN=ON
   cmake --build "${build_dir}" -j "$(nproc)" \
     --target test_par test_exec test_halo_overlap test_fsbm_properties \
-    test_svc test_hybrid test_obs test_tune
+    test_svc test_hybrid test_obs test_tune test_fusion
   TSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir "${build_dir}" --output-on-failure \
-      -R '^(test_par|test_exec|test_halo_overlap|test_fsbm_properties|test_svc|test_hybrid|test_obs|test_tune)$'
+      -R '^(test_par|test_exec|test_halo_overlap|test_fsbm_properties|test_svc|test_hybrid|test_obs|test_tune|test_fusion)$'
 }
 
 run_obs_smoke() {

@@ -173,12 +173,12 @@ end subroutine onecond1
 
 const std::string& cond_kernel() {
   static const std::string src = R"f90(
-subroutine cond_kernel(tt, qv, pp, call_coal, ff, nbin, its, ite, kts, kte, jts, jte)
+subroutine cond_kernel(temp, qv, pres, call_coal, ff, nbin, its, ite, kts, kte, jts, jte)
   implicit none
   integer, intent(in) :: nbin, its, ite, kts, kte, jts, jte
-  real, intent(inout) :: tt(ite,kte,jte)
+  real, intent(inout) :: temp(ite,kte,jte)
   real, intent(inout) :: qv(ite,kte,jte)
-  real, intent(in) :: pp(ite,kte,jte)
+  real, intent(in) :: pres(ite,kte,jte)
   integer, intent(out) :: call_coal(ite,kte,jte)
   real, intent(inout) :: ff(nbin,ite,kte,jte)
   integer :: i, k, j, n
@@ -187,14 +187,14 @@ subroutine cond_kernel(tt, qv, pp, call_coal, ff, nbin, its, ite, kts, kte, jts,
     do k = kts, kte
       do i = its, ite
         call_coal(i,k,j) = 0
-        if (tt(i,k,j) > 193.15) then
-          sat = qv(i,k,j) * pp(i,k,j)
+        if (temp(i,k,j) > 193.15) then
+          sat = qv(i,k,j) * pres(i,k,j)
           do n = 1, nbin
             ff(n,i,k,j) = ff(n,i,k,j) + sat * 0.001
           enddo
-          tt(i,k,j) = tt(i,k,j) + sat * 0.0005
+          temp(i,k,j) = temp(i,k,j) + sat * 0.0005
           qv(i,k,j) = qv(i,k,j) - sat * 0.0005
-          if (tt(i,k,j) > 223.15) then
+          if (temp(i,k,j) > 223.15) then
             call_coal(i,k,j) = 1
           endif
         endif
@@ -208,11 +208,11 @@ end subroutine cond_kernel
 
 const std::string& coal_kernel() {
   static const std::string src = R"f90(
-subroutine coal_kernel(tt, pp, call_coal, ff, nbin, its, ite, kts, kte, jts, jte)
+subroutine coal_kernel(temp, pres, call_coal, ff, nbin, its, ite, kts, kte, jts, jte)
   implicit none
   integer, intent(in) :: nbin, its, ite, kts, kte, jts, jte
-  real, intent(in) :: tt(ite,kte,jte)
-  real, intent(in) :: pp(ite,kte,jte)
+  real, intent(in) :: temp(ite,kte,jte)
+  real, intent(in) :: pres(ite,kte,jte)
   integer, intent(in) :: call_coal(ite,kte,jte)
   real, intent(inout) :: ff(nbin,ite,kte,jte)
   integer :: i, k, j, n
@@ -221,9 +221,9 @@ subroutine coal_kernel(tt, pp, call_coal, ff, nbin, its, ite, kts, kte, jts, jte
     do k = kts, kte
       do i = its, ite
         if (call_coal(i,k,j) > 0) then
-          scale = (pp(i,k,j) - 50000.0) / 25000.0
+          scale = (pres(i,k,j) - 50000.0) / 25000.0
           do n = 1, nbin
-            ff(n,i,k,j) = ff(n,i,k,j) * (1.0 + scale * tt(i,k,j) * 0.00001)
+            ff(n,i,k,j) = ff(n,i,k,j) * (1.0 + scale * temp(i,k,j) * 0.00001)
           enddo
         endif
       enddo
@@ -236,17 +236,20 @@ end subroutine coal_kernel
 
 const std::string& sed_kernel() {
   static const std::string src = R"f90(
-subroutine sed_kernel(ff, vt, nbin, its, ite, kts, kte, jts, jte)
+subroutine sed_kernel(ff, rho, precip, vt, nbin, its, ite, kts, kte, jts, jte)
   implicit none
   integer, intent(in) :: nbin, its, ite, kts, kte, jts, jte
   real, intent(inout) :: ff(nbin,ite,kte,jte)
+  real, intent(in) :: rho(ite,kte,jte)
+  real, intent(inout) :: precip(ite,jte)
   real, intent(in) :: vt(nbin)
   integer :: i, k, j, n
   do j = jts, jte
     do k = kts, kte
       do i = its, ite
         do n = 1, nbin
-          ff(n,i,k,j) = ff(n,i,k,j) + vt(n) * (ff(n,i,k+1,j) - ff(n,i,k,j))
+          ff(n,i,k,j) = ff(n,i,k,j) + vt(n) * (ff(n,i,k+1,j) - ff(n,i,k,j)) / rho(i,k,j)
+          precip(i,j) = precip(i,j) + vt(n) * ff(n,i,k,j)
         enddo
       enddo
     enddo

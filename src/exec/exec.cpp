@@ -1,6 +1,7 @@
 #include "exec/exec.hpp"
 
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <thread>
 
@@ -266,35 +267,55 @@ void HeteroSpace::run_tile_list(const TilePlan& plan,
   host_.run_tile_list(plan, tiles, p, fn);
 }
 
-void HeteroSpace::run_split(const SplitPlan& sp, const LaunchParams& p,
-                            const TileFn& device_fn, const TileFn& host_fn) {
+SplitWalls HeteroSpace::run_split(const SplitPlan& sp, const LaunchParams& p,
+                                  const std::function<void()>& device_side,
+                                  const TileFn& host_fn) {
   OBS_SPAN("pass", p.name,
            {{"space", "hetero"},
             {"device_tiles", sp.device_tiles.size()},
             {"host_tiles", sp.host_tiles.size()},
             {"device_cells", sp.device_cells},
             {"host_cells", sp.host_cells}});
-  // Host remainder on its own thread so it overlaps the device shard's
-  // functional execution + modeled launch — the heterogeneous overlap
-  // the TSan job exercises.  Exceptions from the host side are carried
-  // back and rethrown after the join (device-side exceptions win, as
-  // they surface first on the calling thread).
+  using Clock = std::chrono::steady_clock;
+  const auto since = [](Clock::time_point t0) {
+    return std::chrono::duration<double>(Clock::now() - t0).count();
+  };
+  // Host remainder on its own thread so it overlaps the device side —
+  // the heterogeneous overlap the TSan job exercises.  Exceptions from
+  // the host side are carried back and rethrown after the join
+  // (device-side exceptions win, as they surface first on the calling
+  // thread).
+  SplitWalls walls;
   std::exception_ptr host_err;
   std::thread host_thread([&] {
+    const auto h0 = Clock::now();
     try {
       host_.run_tile_list(sp.plan, sp.host_tiles, p, host_fn);
     } catch (...) {
       host_err = std::current_exception();
     }
+    walls.host_sec = since(h0);
   });
+  const auto d0 = Clock::now();
   try {
-    device_.run_tile_list(sp.plan, sp.device_tiles, p, device_fn);
+    device_side();
   } catch (...) {
     host_thread.join();
     throw;
   }
+  walls.device_sec = since(d0);
   host_thread.join();
   if (host_err) std::rethrow_exception(host_err);
+  return walls;
+}
+
+SplitWalls HeteroSpace::run_split(const SplitPlan& sp, const LaunchParams& p,
+                                  const TileFn& device_fn,
+                                  const TileFn& host_fn) {
+  return run_split(
+      sp, p,
+      [&] { device_.run_tile_list(sp.plan, sp.device_tiles, p, device_fn); },
+      host_fn);
 }
 
 // ----------------------------------------------------------------- config

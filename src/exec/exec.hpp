@@ -118,8 +118,8 @@ struct Range3 {
 
 /// Per-dispatch knobs.  Host spaces use `grain`; DeviceSpace additionally
 /// feeds the launch-geometry fields into the gpusim performance model
-/// (occupancy, heap check, roofline) exactly like fsbm's hand-built
-/// KernelDescs do.
+/// (occupancy, heap check, roofline) exactly like the KernelDescs
+/// fsbm's pass executor builds.
 struct LaunchParams {
   const char* name = "exec";
   int collapse = 3;          ///< collapse(2) vs collapse(3) bookkeeping
@@ -187,6 +187,13 @@ struct SplitPlan {
     const std::int64_t t = device_tiles[static_cast<std::size_t>(q)];
     return plan.tile_begin(t) + (lane - q * g);
   }
+};
+
+/// Wall seconds of the two sides of one split pass (they overlap, so
+/// the pass wall is ~max, not the sum).
+struct SplitWalls {
+  double device_sec = 0.0;
+  double host_sec = 0.0;
 };
 
 /// Partition `plan`'s tiles into device-shard and host-shard lists from a
@@ -346,8 +353,9 @@ class DeviceSpace final : public ExecSpace {
 
   gpu::Device& device() noexcept { return *device_; }
 
-  /// Pass-through for fully hand-described kernels (fsbm's coal/cond
-  /// launches with traces); recorded like any other dispatch.
+  /// Pass-through for fully described kernels (fsbm's cond/coal
+  /// launches with bodies and traces); recorded like any other
+  /// dispatch.
   gpu::KernelStats launch(const gpu::KernelDesc& desc);
 
   /// The space's device data environment: a field table of named device
@@ -400,15 +408,21 @@ class HeteroSpace final : public ExecSpace {
   DeviceSpace& device_shard() noexcept { return device_; }
   ThreadedSpace& host_shard() noexcept { return host_; }
 
-  /// Run one predicate-split pass: the device tiles through the device
-  /// shard and the host tiles through the host shard, CONCURRENTLY (the
-  /// host remainder overlaps the modeled kernel).  Blocks until both
-  /// shards finish; the first exception from either shard is rethrown on
-  /// the calling thread.  Callers needing a hand-built gpu::KernelDesc
-  /// for the device side (fsbm's coal pass) drive the shards directly
-  /// instead.
-  void run_split(const SplitPlan& sp, const LaunchParams& p,
-                 const TileFn& device_fn, const TileFn& host_fn);
+  /// Run one predicate-split pass: `device_side` on the calling thread
+  /// while the host tiles run through the host shard on a helper
+  /// thread, CONCURRENTLY (the host remainder overlaps the device side's
+  /// transfers and kernel).  `device_side` drives the device shard —
+  /// its data region and a launch over only the device tiles.  Blocks
+  /// until both sides finish; the first exception from either side is
+  /// rethrown on the calling thread.  Returns each side's wall seconds.
+  SplitWalls run_split(const SplitPlan& sp, const LaunchParams& p,
+                       const std::function<void()>& device_side,
+                       const TileFn& host_fn);
+
+  /// The plain split: `device_fn` over the device tiles through the
+  /// device shard (functional execution + one modeled launch).
+  SplitWalls run_split(const SplitPlan& sp, const LaunchParams& p,
+                       const TileFn& device_fn, const TileFn& host_fn);
 
  private:
   DeviceSpace device_;

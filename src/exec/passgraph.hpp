@@ -62,13 +62,15 @@ struct PassNode {
   int collapse = 3;      ///< collapsed loop depth of the launch
   Range3 range;          ///< iteration range of the collapsed nest
   std::int64_t grain = 0;  ///< tile grain (0 = default plane grain)
-  std::vector<std::string> reads;   ///< field footprint: read
-  std::vector<std::string> writes;  ///< field footprint: written
+  /// Field footprint.  The executor derives a group's transfers and
+  /// dirty marks from it, so it must match the kernel: a test checks it
+  /// against the analyzer's read/write sets of `kernel_src`.
+  std::vector<std::string> reads;
+  std::vector<std::string> writes;
   /// Embedded kernel source + procedure for the legality analysis;
   /// passes without one (host physics) are never fusion candidates.
   const std::string* kernel_src = nullptr;
   std::string procedure;
-  int tag = 0;  ///< caller-private id (FastSbm's pass dispatch)
 };
 
 /// Legality callback verdict.

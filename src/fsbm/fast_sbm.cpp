@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
-#include <thread>
 #include <vector>
 
 #include "analyzer/embedded_sources.hpp"
@@ -21,13 +20,22 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// PassNode tags: which FastSbm pass a graph node dispatches to.
-constexpr int kTagPre = 1;   ///< cond kernel or host physics
-constexpr int kTagCoal = 2;  ///< offloaded collision pass
-constexpr int kTagSed = 3;   ///< sedimentation
-
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+/// Run `f` (region traffic) and charge its device transfer delta.
+template <class F>
+void charged(gpu::Device& dev, FsbmStats& st, const F& f) {
+  const gpu::TransferStats t0 = dev.transfers();
+  f();
+  st.charge_transfer_delta(t0, dev.transfers());
+}
+
+/// Append `f` to `ids` unless already present (footprint unions keep
+/// first-appearance order).
+void add_unique(std::vector<mem::FieldId>& ids, mem::FieldId f) {
+  if (std::find(ids.begin(), ids.end(), f) == ids.end()) ids.push_back(f);
 }
 
 /// Stack-resident workspace buffer: the C++ analogue of the Fortran
@@ -182,7 +190,11 @@ FastSbm::FastSbm(const grid::Patch& patch, int nkr, Version version,
       tables_(bins_),
       call_coal_(patch.im, patch.k, patch.jm, std::uint8_t{0}),
       fidelity_(patch.im, patch.k, patch.jm, kFidelityBin),
-      calm_steps_(patch.im, patch.k, patch.jm, std::uint8_t{0}) {
+      calm_steps_(patch.im, patch.k, patch.jm, std::uint8_t{0}),
+      cond_cfg_(params.cond),
+      nucl_cfg_(params.nucl) {
+  cond_cfg_.dt = params_.dt;
+  nucl_cfg_.dt = params_.dt;
   if (nkr > kMaxNkr) {
     throw ConfigError("FastSbm: nkr exceeds kMaxNkr stack workspace bound");
   }
@@ -272,53 +284,93 @@ FastSbm::FastSbm(const grid::Patch& patch, int nkr, Version version,
   // Footprints and tile plans are static per run, so the graph is built
   // once here.  Legality comes from the analyzer: each candidate pair's
   // embedded kernel sources run through the dependence analysis,
-  // memoized process-wide per (pass pair, collapse depth).
+  // memoized process-wide per (pass pair, collapse depth).  Each node's
+  // footprint is also resolved to the data-region fields run_group
+  // derives its transfers and dirty marks from.
+  const auto fields = [&](const std::vector<std::string>& names) {
+    std::vector<mem::FieldId> ids;
+    if (region_ == nullptr) return ids;
+    for (const std::string& n : names) {
+      if (n == "ff") ids.insert(ids.end(), ids_.ff.begin(), ids_.ff.end());
+      if (n == "temp") ids.push_back(ids_.temp);
+      if (n == "qv") ids.push_back(ids_.qv);
+      if (n == "pres") ids.push_back(ids_.pres);
+      if (n == "call_coal") ids.push_back(ids_.call_coal);
+    }
+    return ids;
+  };
+  const auto add = [&](exec::PassNode node, NodeRun run) {
+    run.reads = fields(node.reads);
+    run.writes = fields(node.writes);
+    graph_.add(std::move(node));
+    runs_.push_back(std::move(run));
+  };
   const exec::Range3 cell_range{patch_.ip, patch_.k, patch_.jp};
   {
     exec::PassNode pre;
-    pre.tag = kTagPre;
     pre.collapse = 3;
     pre.range = cell_range;
     pre.reads = {"temp", "qv", "pres", "ff"};
     pre.writes = {"temp", "qv", "call_coal", "ff"};
+    NodeRun run;
     if (offloaded && params_.offload_condensation) {
       pre.name = "onecond_loop";
       pre.device = true;
       pre.kernel_src = &analyzer::sources::cond_kernel();
       pre.procedure = "cond_kernel";
+      run.cell = &FastSbm::cond_run_cell;
+      run.trace = &FastSbm::emit_cond_trace;
+      run.regs_per_thread = params_.cond_regs_per_thread;
+      run.stem = "onecond";
+      run.slot = &FsbmStats::cond_kernel;
     } else {
       pre.name = "pass_physics";
       pre.device = false;  // host nest (inline coal for v0/v1)
+      run.pass = &FastSbm::pass_physics;
     }
-    graph_.add(std::move(pre));
+    add(std::move(pre), std::move(run));
   }
   if (offloaded) {
     exec::PassNode coal;
-    coal.tag = kTagCoal;
     coal.name = "coal_bott_new_loop";
     coal.device = true;
     coal.split = hetero_ != nullptr && device_space_ == &hetero_->device_shard();
     coal.collapse = version_ == Version::kV2Offload2 ? 2 : 3;
     coal.range = cell_range;
-    coal.reads = {"call_coal", "temp", "pres", "ff"};
+    coal.reads = {"call_coal", "ff", "temp", "pres"};
     coal.writes = {"ff"};
     coal.kernel_src = &analyzer::sources::coal_kernel();
     coal.procedure = "coal_kernel";
-    graph_.add(std::move(coal));
+    NodeRun run;
+    run.cell = &FastSbm::coal_run_cell;
+    run.trace = &FastSbm::emit_coal_trace;
+    run.regs_per_thread = params_.coal_regs_per_thread;
+    // v3's pools replace the automatic arrays; v2 and the naive
+    // collapse(3) keep them on the device heap.
+    run.workspace_bytes_per_thread =
+        pool_fl1_ != nullptr
+            ? 0
+            : static_cast<std::uint64_t>(params_.automatic_array_count) *
+                  static_cast<std::uint64_t>(nkr) * sizeof(float);
+    run.stem = "coal";
+    run.slot = &FsbmStats::coal_kernel;
+    run.predicated = true;
+    add(std::move(coal), std::move(run));
   }
   {
     exec::PassNode sed;
-    sed.tag = kTagSed;
     sed.name = "sedimentation";
     sed.device = exec_device_;  // modeled as a device nest under exec=device
     sed.collapse = 2;
     sed.range = exec::Range3{patch_.ip, Range{0, 0}, patch_.jp};
     sed.grain = patch_.ip.size();
-    sed.reads = {"ff", "rho"};
+    sed.reads = {"ff", "rho", "precip"};
     sed.writes = {"ff", "precip"};
     sed.kernel_src = &analyzer::sources::sed_kernel();
     sed.procedure = "sed_kernel";
-    graph_.add(std::move(sed));
+    NodeRun run;
+    run.pass = &FastSbm::pass_sedimentation;
+    add(std::move(sed), std::move(run));
   }
   schedule_ = graph_.schedule(
       params_.fuse,
@@ -403,19 +455,18 @@ void FastSbm::coal_cell_pooled(MicroState& state, int i, int k, int j,
 }
 
 void FastSbm::coal_run_cell(MicroState& state, int i, int k, int j,
-                            bool pooled, CoalCounters& c) {
+                            LaneCounters& c) {
   if (call_coal_(i, k, j) == 0) return;
   // Device code path: nvfortran-style FMA contraction (see get_cw_device).
   const KernelSource ks(tables_, state.pres(i, k, j), /*device_fma=*/true);
   CoalStats cst;
-  if (pooled) {
+  if (pool_fl1_ != nullptr) {
     coal_cell_pooled(state, i, k, j, ks, cst);
   } else {
     coal_cell_stack(state, i, k, j, ks, cst);
   }
   c.interactions.fetch_add(cst.interactions, std::memory_order_relaxed);
   c.lookups.fetch_add(cst.kernel_lookups, std::memory_order_relaxed);
-  c.cells.fetch_add(1, std::memory_order_relaxed);
 }
 
 void FastSbm::mark_written(const std::vector<mem::FieldId>& ids,
@@ -450,30 +501,25 @@ void FastSbm::mark_transport_writes(FsbmStats* st) {
   if (st != nullptr) st->charge_transfer_delta(t0, device_->transfers());
 }
 
-void FastSbm::mark_pass_writes(FsbmStats& st, bool on_device, bool thermo) {
-  if (!persist()) return;
-  const gpu::TransferStats t0 = device_->transfers();
-  std::vector<mem::FieldId> w;
-  if (thermo) w = {ids_.temp, ids_.qv, ids_.call_coal};
-  w.insert(w.end(), ids_.ff.begin(), ids_.ff.end());
-  mark_written(w, on_device);
-  st.charge_transfer_delta(t0, device_->transfers());
-}
-
-void FastSbm::mark_coal_writes(const MicroState& state) {
+void FastSbm::mark_predicated_writes(const std::vector<mem::FieldId>& ids) {
+  if (ids.empty()) return;
+  // Fields share the predicate's cell geometry, so a cell's slice of a
+  // field is the cell index times the field's per-cell bytes.
+  std::vector<std::uint64_t> cell_bytes;
+  for (const mem::FieldId f : ids) {
+    cell_bytes.push_back(region_->bytes(f) / call_coal_.size());
+  }
   // Walk in memory order (j slowest, i fastest) so the per-cell slice
   // ranges arrive ascending and adjacent active cells coalesce into one
   // span — cloud regions are i-contiguous.
-  const auto& f0 = state.ff[0];
-  const std::uint64_t slice_bytes =
-      static_cast<std::uint64_t>(bins_.nkr()) * sizeof(float);
   for (int j = patch_.jp.lo; j <= patch_.jp.hi; ++j) {
     for (int k = patch_.k.lo; k <= patch_.k.hi; ++k) {
       for (int i = patch_.ip.lo; i <= patch_.ip.hi; ++i) {
         if (call_coal_(i, k, j) == 0) continue;
-        const std::uint64_t off = f0.index(0, i, k, j) * sizeof(float);
-        for (const mem::FieldId f : ids_.ff) {
-          region_->mark_device_dirty(f, off, slice_bytes);
+        const std::uint64_t cell = call_coal_.index(i, k, j);
+        for (std::size_t n = 0; n < ids.size(); ++n) {
+          region_->mark_device_dirty(ids[n], cell * cell_bytes[n],
+                                     cell_bytes[n]);
         }
       }
     }
@@ -636,8 +682,7 @@ void FastSbm::pass_fidelity(MicroState& state, FsbmStats& st,
 }
 
 void FastSbm::cond_run_cell(MicroState& state, int i, int k, int j,
-                            const CondConfig& cond_cfg,
-                            const NuclConfig& nucl_cfg, CondCounters& cnt) {
+                            LaneCounters& cnt) {
   call_coal_(i, k, j) = 0;
   if (params_.phys != PhysScheme::kBin &&
       fidelity_(i, k, j) == kFidelityBulk) {
@@ -658,10 +703,10 @@ void FastSbm::cond_run_cell(MicroState& state, int i, int k, int j,
   double qv = state.qv(i, k, j);
   const double pres = state.pres(i, k, j);
   load_workspace(state, i, k, j, w);
-  const NuclStats ns = jernucl01_ks(bins_, temp, qv, pres, w, nucl_cfg);
+  const NuclStats ns = jernucl01_ks(bins_, temp, qv, pres, w, nucl_cfg_);
   const CondStats cs = temp >= c::kT0
-                           ? onecond1(bins_, temp, qv, pres, w, cond_cfg)
-                           : onecond2(bins_, temp, qv, pres, w, cond_cfg);
+                           ? onecond1(bins_, temp, qv, pres, w, cond_cfg_)
+                           : onecond2(bins_, temp, qv, pres, w, cond_cfg_);
   state.temp(i, k, j) = static_cast<float>(temp);
   state.qv(i, k, j) = static_cast<float>(qv);
   store_workspace(state, i, k, j, w);
@@ -702,103 +747,11 @@ void FastSbm::emit_cond_trace(const MicroState& state, int i, int k, int j,
   }
 }
 
-void FastSbm::pass_cond_offload(MicroState& state, FsbmStats& st,
-                                prof::Profiler& prof) {
-  // §VIII: the condensation loops offloaded "using a similar approach" —
-  // loop fission with a per-cell predicate, one device lane per cell,
-  // stack workspaces (condensation's automatic arrays are smaller than
-  // coal_bott_new's, so no pooled variant is needed).
-  prof::ScopedRange cr(prof, "onecond_loop");
-  const int ni = patch_.ip.size();
-  const int nk = patch_.k.size();
-  const int nj = patch_.jp.size();
-
-  CondConfig cond_cfg = params_.cond;
-  cond_cfg.dt = params_.dt;
-  NuclConfig nucl_cfg = params_.nucl;
-  nucl_cfg.dt = params_.dt;
-
-  CondCounters cnt;
-
-  gpu::KernelDesc desc;
-  desc.name = "onecond_loop";
-  desc.collapse = 3;
-  desc.iterations = static_cast<std::int64_t>(ni) * nk * nj;
-  desc.regs_per_thread = params_.cond_regs_per_thread;
-  desc.workspace_bytes_per_thread = 0;  // fits in registers/stack budget
-  desc.body = [&](std::int64_t it) {
-    const int i = patch_.ip.lo + static_cast<int>(it % ni);
-    const int k = patch_.k.lo + static_cast<int>((it / ni) % nk);
-    const int j =
-        patch_.jp.lo +
-        static_cast<int>(it / (static_cast<std::int64_t>(ni) * nk));
-    cond_run_cell(state, i, k, j, cond_cfg, nucl_cfg, cnt);
-  };
-  desc.flops_total = [&]() {
-    return static_cast<double>(cnt.flops_milli.load() +
-                               cnt.bulk_flops_milli.load()) /
-           1000.0;
-  };
-  desc.trace = [&](std::int64_t it, std::vector<gpu::AccessEvent>& out) {
-    const int i = patch_.ip.lo + static_cast<int>(it % ni);
-    const int k = patch_.k.lo + static_cast<int>((it / ni) % nk);
-    const int j =
-        patch_.jp.lo +
-        static_cast<int>(it / (static_cast<std::int64_t>(ni) * nk));
-    emit_cond_trace(state, i, k, j, out);
-  };
-  {
-    // The condensation kernel consumes the thermo + bin fields.
-    // res=persist brings the resident operands current (dirty bytes
-    // only); res=step opens a per-launch `target data` region like the
-    // coal pass, so the two modes stay comparable for this launch too.
-    const gpu::TransferStats t0 = device_->transfers();
-    if (persist()) {
-      region_->update_to(ids_.temp);
-      region_->update_to(ids_.qv);
-      region_->update_to(ids_.pres);
-      for (const mem::FieldId f : ids_.ff) region_->update_to(f);
-    } else {
-      region_->map_to(ids_.temp);
-      region_->map_to(ids_.qv);
-      region_->map_to(ids_.pres);
-      region_->map_to(ids_.call_coal);
-      for (const mem::FieldId f : ids_.ff) region_->map_to(f);
-    }
-    st.charge_transfer_delta(t0, device_->transfers());
-  }
-  st.cond_kernel = device_space_->launch(desc);
-  if (persist()) {
-    // Kernel writes: thermo state, bins, and the refilled predicate
-    // advance the device copy (operands were flushed above, so the
-    // read-coherence flush inside moves nothing here).
-    mark_pass_writes(st, /*on_device=*/true, /*thermo=*/true);
-  } else {
-    // Close the per-launch region: the kernel's outputs map back d2h.
-    const gpu::TransferStats t0 = device_->transfers();
-    region_->map_from(ids_.temp);
-    region_->map_from(ids_.qv);
-    region_->map_from(ids_.call_coal);
-    for (const mem::FieldId f : ids_.ff) region_->map_from(f);
-    region_->unmap_all();
-    st.charge_transfer_delta(t0, device_->transfers());
-  }
-  st.cells_active += cnt.active.load();
-  st.cells_coal += cnt.coal_cells.load();
-  st.cond_flops += static_cast<double>(cnt.flops_milli.load()) / 1000.0;
-  st.bulk_flops += static_cast<double>(cnt.bulk_flops_milli.load()) / 1000.0;
-}
-
 void FastSbm::pass_physics(MicroState& state, FsbmStats& st,
                            prof::Profiler& prof) {
   const bool inline_coal = version_ == Version::kV0Baseline ||
                            version_ == Version::kV1LookupOnDemand;
   const int nkr = bins_.nkr();
-
-  CondConfig cond_cfg = params_.cond;
-  cond_cfg.dt = params_.dt;
-  NuclConfig nucl_cfg = params_.nucl;
-  nucl_cfg.dt = params_.dt;
 
   // Listing 1's j/k/i nest, dispatched through the execution space.
   // Every cell touches only its own state, so the nest parallelizes over
@@ -820,14 +773,15 @@ void FastSbm::pass_physics(MicroState& state, FsbmStats& st,
         load_workspace(state, i, k, j, w);
 
         // Nucleation.
-        const NuclStats ns = jernucl01_ks(bins_, temp, qv, pres, w, nucl_cfg);
+        const NuclStats ns =
+            jernucl01_ks(bins_, temp, qv, pres, w, nucl_cfg_);
         pt.nucl_flops += ns.flops;
 
         // Condensation: warm path above freezing, mixed-phase below.
         const CondStats cs =
             temp >= c::kT0
-                ? onecond1(bins_, temp, qv, pres, w, cond_cfg)
-                : onecond2(bins_, temp, qv, pres, w, cond_cfg);
+                ? onecond1(bins_, temp, qv, pres, w, cond_cfg_)
+                : onecond2(bins_, temp, qv, pres, w, cond_cfg_);
         pt.cond_flops += cs.flops;
 
         state.temp(i, k, j) = static_cast<float>(temp);
@@ -922,14 +876,9 @@ void FastSbm::pass_physics(MicroState& state, FsbmStats& st,
                         sum.wall_coal_sec);
   }
   st.merge(sum);
-  // Residency: this pass rewrote the thermo state, the bins, and the
-  // predicate — host-side under a host space (device copy stale), as a
-  // device kernel under exec=device (device copy advanced).
-  mark_pass_writes(st, exec_device_, /*thermo=*/true);
 }
 
 void FastSbm::emit_coal_trace(const MicroState& state, int i, int k, int j,
-                              bool pooled,
                               std::vector<gpu::AccessEvent>& out) const {
   auto addr = [](const void* p) {
     return reinterpret_cast<std::uint64_t>(p);
@@ -940,6 +889,7 @@ void FastSbm::emit_coal_trace(const MicroState& state, int i, int k, int j,
   out.push_back({addr(&state.pres(i, k, j)), 4, false});
 
   const int nkr = bins_.nkr();
+  const bool pooled = pool_fl1_ != nullptr;
   // Workspace copy-in: bin-strided reads of the ff slices; pooled runs
   // also write the pool slabs (global memory), stack runs keep the
   // workspace in thread-local storage invisible to the DRAM counters.
@@ -997,249 +947,6 @@ void FastSbm::emit_coal_trace(const MicroState& state, int i, int k, int j,
   }
 }
 
-void FastSbm::pass_coal_offload(MicroState& state, FsbmStats& st,
-                                prof::Profiler& prof) {
-  prof::ScopedRange cr(prof, "coal_bott_new_loop");
-  const auto t0 = Clock::now();
-
-  const int nkr = bins_.nkr();
-  const int ni = patch_.ip.size();
-  const int nk = patch_.k.size();
-  const int nj = patch_.jp.size();
-  const bool pooled = version_ == Version::kV3Offload3;
-  const bool collapse3 = version_ != Version::kV2Offload2;
-
-  // Host -> device: bin distributions, thermodynamic fields, predicate.
-  // res=step opens a per-launch `target data` region — allocate + upload
-  // every field through the capacity check, the paper's as-ported
-  // behavior.  res=persist issues `target update to` of only the dirty
-  // bytes: halo shell strips and whatever host-side passes wrote since
-  // the device copy was last current.
-  {
-    const gpu::TransferStats t0 = device_->transfers();
-    if (persist()) {
-      region_->update_to(ids_.call_coal);
-      for (const mem::FieldId f : ids_.ff) region_->update_to(f);
-      region_->update_to(ids_.temp);
-      region_->update_to(ids_.pres);
-    } else {
-      region_->map_to(ids_.call_coal);
-      for (const mem::FieldId f : ids_.ff) region_->map_to(f);
-      region_->map_to(ids_.temp);
-      region_->map_to(ids_.pres);
-    }
-    st.charge_transfer_delta(t0, device_->transfers());
-  }
-
-  CoalCounters cnt;
-
-  gpu::KernelDesc desc;
-  desc.name = "coal_bott_new_loop";
-  desc.collapse = collapse3 ? 3 : 2;
-  desc.iterations = collapse3 ? static_cast<std::int64_t>(ni) * nk * nj
-                              : static_cast<std::int64_t>(nk) * nj;
-  desc.regs_per_thread = params_.coal_regs_per_thread;
-  desc.workspace_bytes_per_thread =
-      pooled ? 0
-             : static_cast<std::uint64_t>(params_.automatic_array_count) *
-                   static_cast<std::uint64_t>(nkr) * sizeof(float);
-  desc.double_precision = false;
-
-  auto run_cell = [&](int i, int k, int j) {
-    coal_run_cell(state, i, k, j, pooled, cnt);
-  };
-
-  if (collapse3) {
-    // Listing 6 with full collapse: one device lane per grid cell.
-    desc.body = [&](std::int64_t it) {
-      const int i = patch_.ip.lo + static_cast<int>(it % ni);
-      const int k = patch_.k.lo + static_cast<int>((it / ni) % nk);
-      const int j = patch_.jp.lo + static_cast<int>(it / (static_cast<std::int64_t>(ni) * nk));
-      run_cell(i, k, j);
-    };
-  } else {
-    // collapse(2): lanes over (k, j); the i loop stays inside the lane.
-    desc.body = [&](std::int64_t it) {
-      const int k = patch_.k.lo + static_cast<int>(it % nk);
-      const int j = patch_.jp.lo + static_cast<int>(it / nk);
-      for (int i = patch_.ip.lo; i <= patch_.ip.hi; ++i) run_cell(i, k, j);
-    };
-  }
-  desc.flops_total = [&]() {
-    return coal_flops_model(cnt.interactions.load(), cnt.lookups.load());
-  };
-  desc.trace = [&](std::int64_t it, std::vector<gpu::AccessEvent>& out) {
-    if (collapse3) {
-      const int i = patch_.ip.lo + static_cast<int>(it % ni);
-      const int k = patch_.k.lo + static_cast<int>((it / ni) % nk);
-      const int j = patch_.jp.lo + static_cast<int>(it / (static_cast<std::int64_t>(ni) * nk));
-      emit_coal_trace(state, i, k, j, pooled, out);
-    } else {
-      const int k = patch_.k.lo + static_cast<int>(it % nk);
-      const int j = patch_.jp.lo + static_cast<int>(it / nk);
-      for (int i = patch_.ip.lo; i <= patch_.ip.hi; ++i) {
-        emit_coal_trace(state, i, k, j, pooled, out);
-      }
-    }
-  };
-
-  st.coal_kernel = device_space_->launch(desc);
-
-  // Device -> host: updated distributions.  res=step closes the data
-  // region (full bin-field map(from:) + delete).  res=persist marks the
-  // kernel's writes device-dirty at bin-slice granularity through the
-  // predicate array and flushes exactly those slices d2h here (host
-  // passes consume them next), while under exec=device the fields stay
-  // resident (the next consumer is another device-dispatched nest).
-  {
-    const gpu::TransferStats t0 = device_->transfers();
-    if (persist()) {
-      if (exec_device_) {
-        for (const mem::FieldId f : ids_.ff) region_->mark_device_dirty(f);
-      } else {
-        mark_coal_writes(state);
-        for (const mem::FieldId f : ids_.ff) region_->update_from(f);
-      }
-    } else {
-      for (const mem::FieldId f : ids_.ff) region_->map_from(f);
-      region_->unmap_all();
-    }
-    st.charge_transfer_delta(t0, device_->transfers());
-  }
-
-  st.coal_interactions += cnt.interactions.load();
-  st.kernel_entries += cnt.lookups.load();
-  st.coal_flops += desc.flops_total();
-  st.wall_coal_sec += seconds_since(t0);
-}
-
-void FastSbm::pass_cond_coal_fused(MicroState& state, FsbmStats& st,
-                                   prof::Profiler& prof) {
-  // One launch for cond + coal: each lane runs the condensation body
-  // for its cell, then — gated by the predicate the lane itself just
-  // wrote — the collision body for the SAME cell.  Legal because the
-  // analyzer proved every shared field pointwise over the collapsed
-  // loop variables (the ctor's schedule), which makes lane-sequential
-  // execution bitwise identical to the two sequential full passes.
-  // The win: one launch latency instead of two, and no inter-pass
-  // transfer round-trip (coal's upload + cond's bin-field download).
-  prof::ScopedRange cr(prof, "onecond_coal_fused");
-  const auto t0 = Clock::now();
-  const int ni = patch_.ip.size();
-  const int nk = patch_.k.size();
-  const int nj = patch_.jp.size();
-  const int nkr = bins_.nkr();
-  const bool pooled = version_ == Version::kV3Offload3;
-
-  CondConfig cond_cfg = params_.cond;
-  cond_cfg.dt = params_.dt;
-  NuclConfig nucl_cfg = params_.nucl;
-  nucl_cfg.dt = params_.dt;
-
-  CondCounters ccnt;
-  CoalCounters kcnt;
-
-  gpu::KernelDesc desc;
-  desc.name = "onecond_coal_fused";
-  desc.collapse = 3;
-  desc.fused_passes = 2;
-  desc.iterations = static_cast<std::int64_t>(ni) * nk * nj;
-  // The fused lane carries both bodies: register pressure is the max of
-  // the two, workspace demand the coal kernel's (cond fits in stack).
-  desc.regs_per_thread =
-      std::max(params_.cond_regs_per_thread, params_.coal_regs_per_thread);
-  desc.workspace_bytes_per_thread =
-      pooled ? 0
-             : static_cast<std::uint64_t>(params_.automatic_array_count) *
-                   static_cast<std::uint64_t>(nkr) * sizeof(float);
-  desc.double_precision = false;
-  desc.body = [&](std::int64_t it) {
-    const int i = patch_.ip.lo + static_cast<int>(it % ni);
-    const int k = patch_.k.lo + static_cast<int>((it / ni) % nk);
-    const int j =
-        patch_.jp.lo +
-        static_cast<int>(it / (static_cast<std::int64_t>(ni) * nk));
-    cond_run_cell(state, i, k, j, cond_cfg, nucl_cfg, ccnt);
-    coal_run_cell(state, i, k, j, pooled, kcnt);
-  };
-  desc.flops_total = [&]() {
-    return static_cast<double>(ccnt.flops_milli.load() +
-                               ccnt.bulk_flops_milli.load()) /
-               1000.0 +
-           coal_flops_model(kcnt.interactions.load(), kcnt.lookups.load());
-  };
-  desc.trace = [&](std::int64_t it, std::vector<gpu::AccessEvent>& out) {
-    const int i = patch_.ip.lo + static_cast<int>(it % ni);
-    const int k = patch_.k.lo + static_cast<int>((it / ni) % nk);
-    const int j =
-        patch_.jp.lo +
-        static_cast<int>(it / (static_cast<std::int64_t>(ni) * nk));
-    emit_cond_trace(state, i, k, j, out);
-    emit_coal_trace(state, i, k, j, pooled, out);
-  };
-
-  // Prologue: exactly the standalone cond launch's — the fused kernel's
-  // operands are cond's operand set (coal reads a subset plus the
-  // predicate cond writes).  Coal's separate upload is the h2d saving.
-  {
-    const gpu::TransferStats tx0 = device_->transfers();
-    if (persist()) {
-      region_->update_to(ids_.temp);
-      region_->update_to(ids_.qv);
-      region_->update_to(ids_.pres);
-      for (const mem::FieldId f : ids_.ff) region_->update_to(f);
-    } else {
-      region_->map_to(ids_.temp);
-      region_->map_to(ids_.qv);
-      region_->map_to(ids_.pres);
-      region_->map_to(ids_.call_coal);
-      for (const mem::FieldId f : ids_.ff) region_->map_to(f);
-    }
-    st.charge_transfer_delta(tx0, device_->transfers());
-  }
-
-  // The fused launch reports under the coal slot (the dominant body);
-  // cond_kernel stays unset — per-pass kernel stats are a property of
-  // the unfused layout.
-  st.coal_kernel = device_space_->launch(desc);
-
-  if (persist()) {
-    // Kernel writes: thermo + predicate + bins advance the device copy
-    // (operands were flushed above).  Then, like the standalone coal
-    // epilogue, flush the bin fields d2h when the next consumer is a
-    // host pass; under exec=device they stay resident.
-    mark_pass_writes(st, /*on_device=*/true, /*thermo=*/true);
-    if (!exec_device_) {
-      const gpu::TransferStats tx0 = device_->transfers();
-      mark_coal_writes(state);
-      for (const mem::FieldId f : ids_.ff) region_->update_from(f);
-      st.charge_transfer_delta(tx0, device_->transfers());
-    }
-  } else {
-    // Close the one per-launch region: cond's output set maps back d2h
-    // ONCE (the unfused layout paid a second full bin-field download
-    // after the coal launch — that is the d2h saving).
-    const gpu::TransferStats tx0 = device_->transfers();
-    region_->map_from(ids_.temp);
-    region_->map_from(ids_.qv);
-    region_->map_from(ids_.call_coal);
-    for (const mem::FieldId f : ids_.ff) region_->map_from(f);
-    region_->unmap_all();
-    st.charge_transfer_delta(tx0, device_->transfers());
-  }
-
-  st.cells_active += ccnt.active.load();
-  st.cells_coal += ccnt.coal_cells.load();
-  st.cond_flops += static_cast<double>(ccnt.flops_milli.load()) / 1000.0;
-  st.bulk_flops +=
-      static_cast<double>(ccnt.bulk_flops_milli.load()) / 1000.0;
-  st.coal_interactions += kcnt.interactions.load();
-  st.kernel_entries += kcnt.lookups.load();
-  st.coal_flops +=
-      coal_flops_model(kcnt.interactions.load(), kcnt.lookups.load());
-  st.wall_coal_sec += seconds_since(t0);
-}
-
 void FastSbm::shard_rows(const exec::SplitPlan& sp, const exec::Range3& range,
                          std::vector<mem::ByteRange>* cell_rows) const {
   // Decompose each device-shard tile into maximal i-runs; a run of
@@ -1264,178 +971,206 @@ void FastSbm::shard_rows(const exec::SplitPlan& sp, const exec::Range3& range,
   }
 }
 
-void FastSbm::pass_coal_hetero(MicroState& state, FsbmStats& st,
-                               prof::Profiler& prof) {
-  prof::ScopedRange cr(prof, "coal_bott_new_loop");
+void FastSbm::run_group(const std::vector<std::size_t>& group,
+                        MicroState& state, FsbmStats& st,
+                        prof::Profiler& prof) {
+  const NodeRun& head = runs_[group.front()];
+  if (head.pass != nullptr) {
+    // Host node (never fused): its own tile body, then the marks its
+    // writes imply — host-dirty under a host space, device-dirty under
+    // exec=device (device_->transfers() needs a device, hence the guard).
+    (this->*head.pass)(state, st, prof);
+    if (persist()) {
+      charged(*device_, st, [&] { mark_written(head.writes, exec_device_); });
+    }
+    return;
+  }
+
+  // Kernel group: ONE launch over the shared plan (fusion requires equal
+  // collapse depth, range and grain) whose lanes run the members' bodies
+  // back to back.  Legal because the analyzer proved every shared field
+  // pointwise over the collapsed loop variables (the ctor's schedule),
+  // which makes lane-sequential execution bitwise identical to the
+  // members running as sequential full passes.
+  const exec::PassNode& node = graph_.node(group.front());
+  std::vector<const NodeRun*> runs;
+  std::string name;
+  for (const std::size_t id : group) {
+    runs.push_back(&runs_[id]);
+    name += std::string(runs_[id].stem) + "_";
+  }
+  name = runs.size() == 1 ? node.name : name + "fused";
+  prof::ScopedRange cr(prof, name);
   const auto t0 = Clock::now();
 
-  const int nkr = bins_.nkr();
-  const int ni = patch_.ip.size();
-  const bool pooled = version_ == Version::kV3Offload3;
-  const bool collapse3 = version_ != Version::kV2Offload2;
+  // The group's footprint, derived from the members' declarations:
+  //   touched — reads and writes: what a res=step launch maps;
+  //   inputs  — reads no earlier member writes: what must be current
+  //             on the device before the launch (res=persist, split);
+  //   written — every write: what a res=step launch maps back;
+  //   marked  — writes that advance the device copy (res=persist);
+  //   flushed — a predicated member's writes when a host pass consumes
+  //             them next: marked slice by slice and pulled back d2h.
+  std::vector<mem::FieldId> touched, inputs, written, marked, flushed;
+  for (const NodeRun* r : runs) {
+    for (const mem::FieldId f : r->reads) {
+      add_unique(touched, f);
+      if (std::find(written.begin(), written.end(), f) == written.end()) {
+        add_unique(inputs, f);
+      }
+    }
+    for (const mem::FieldId f : r->writes) {
+      add_unique(touched, f);
+      add_unique(written, f);
+      add_unique(r->predicated && !exec_device_ ? flushed : marked, f);
+    }
+  }
 
-  // Predicate split over row tiles (one i-row per tile): the coal gate
-  // is altitude-shaped — whole upper-level rows are predicate-false —
-  // so row granularity is what lets the cheap remainder stay off the
-  // device.  The cut is a pure function of (range, grain, call_coal_),
-  // identical across shard concurrencies.
+  // Lanes: collapse(3) lanes are one cell each; collapse(2) lanes are
+  // one (k, j) row with the i loop inside.  A split launch covers only
+  // its SplitPlan's device tiles (row tiles, so shards are whole rows).
+  const exec::Range3& range = node.range;
+  const std::int64_t row = node.collapse == 2 ? range.i.size() : 1;
   exec::LaunchParams lp;
-  lp.name = "coal_bott_new_loop";
-  lp.collapse = collapse3 ? 3 : 2;
-  lp.grain = ni;
-  lp.regs_per_thread = params_.coal_regs_per_thread;
-  lp.workspace_bytes_per_thread =
-      pooled ? 0
-             : static_cast<std::uint64_t>(params_.automatic_array_count) *
-                   static_cast<std::uint64_t>(nkr) * sizeof(float);
-  const exec::Range3 range{patch_.ip, patch_.k, patch_.jp};
-  const exec::TilePlan plan = exec::ExecSpace::plan_for(range, lp);
-  const exec::SplitPlan sp = exec::split_plan(
-      range, plan,
-      [&](int i, int k, int j) { return call_coal_(i, k, j) != 0; });
-  st.shard_cells_device += static_cast<std::uint64_t>(sp.device_cells);
-  st.shard_cells_host += static_cast<std::uint64_t>(sp.host_cells);
+  lp.name = node.name.c_str();
+  lp.collapse = node.collapse;
+  lp.grain = range.i.size();
+  exec::SplitPlan sp;
+  if (node.split) {
+    // Predicate split over row tiles: the coal gate is altitude-shaped
+    // — whole upper-level rows are predicate-false — so row granularity
+    // is what lets the cheap remainder stay off the device.  The cut is
+    // a pure function of (range, grain, call_coal_), identical across
+    // shard concurrencies.
+    sp = exec::split_plan(
+        range, exec::ExecSpace::plan_for(range, lp),
+        [&](int i, int k, int j) { return call_coal_(i, k, j) != 0; });
+    st.shard_cells_device += static_cast<std::uint64_t>(sp.device_cells);
+    st.shard_cells_host += static_cast<std::uint64_t>(sp.host_cells);
+  }
+  const auto lane_begin = [&](std::int64_t it) {
+    return node.split ? sp.device_flat(it * row) : it * row;
+  };
 
-  // Host shard: the predicate-false remainder, concurrent with the
-  // device shard's upload + kernel.  Its lanes are Listing 6's gate and
-  // nothing else; a nonzero predicate here means the split planner
-  // leaked an active cell into the remainder, which the join below
-  // turns into a hard error rather than silently dropped physics.
-  std::atomic<std::uint64_t> strays{0};
-  std::exception_ptr host_err;
-  double host_wall = 0.0;
-  std::thread host_thread([&] {
-    const auto h0 = Clock::now();
-    try {
-      hetero_->host_shard().run_tile_list(
-          sp.plan, sp.host_tiles, lp,
-          [&](std::int64_t, std::int64_t b, std::int64_t e) {
-            for (std::int64_t f = b; f < e; ++f) {
-              const exec::Range3::Cell c = range.cell(f);
-              if (call_coal_(c.i, c.k, c.j) != 0) {
-                strays.fetch_add(1, std::memory_order_relaxed);
-              }
+  LaneCounters cnt;
+  gpu::KernelDesc desc;
+  desc.name = name;
+  desc.collapse = node.collapse;
+  desc.fused_passes = static_cast<int>(runs.size());
+  desc.iterations = (node.split ? sp.device_cells : range.size()) / row;
+  desc.regs_per_thread = 0;
+  for (const NodeRun* r : runs) {
+    desc.regs_per_thread = std::max(desc.regs_per_thread, r->regs_per_thread);
+    desc.workspace_bytes_per_thread = std::max(
+        desc.workspace_bytes_per_thread, r->workspace_bytes_per_thread);
+  }
+  desc.body = [&](std::int64_t it) {
+    const std::int64_t f0 = lane_begin(it);
+    for (const NodeRun* r : runs) {
+      for (std::int64_t f = f0; f < f0 + row; ++f) {
+        const exec::Range3::Cell c = range.cell(f);
+        (this->*r->cell)(state, c.i, c.k, c.j, cnt);
+      }
+    }
+  };
+  desc.flops_total = [&] { return lane_flops(cnt); };
+  desc.trace = [&](std::int64_t it, std::vector<gpu::AccessEvent>& out) {
+    const std::int64_t f0 = lane_begin(it);
+    for (const NodeRun* r : runs) {
+      for (std::int64_t f = f0; f < f0 + row; ++f) {
+        const exec::Range3::Cell c = range.cell(f);
+        (this->*r->trace)(state, c.i, c.k, c.j, out);
+      }
+    }
+  };
+
+  // The device side: h2d prologue, the launch, d2h / dirty-mark
+  // epilogue.  `shard` (memory rows in cells) restricts the prologue of
+  // a split launch to the device shard's rows under BOTH residency
+  // modes: res=step's per-launch transients are fully host-dirty, so
+  // the ranged update moves exactly the shard, and res=persist moves
+  // the host-dirty bytes inside it, leaving the rest marked.
+  const auto device_side = [&](const std::vector<mem::ByteRange>* shard) {
+    charged(*device_, st, [&] {
+      for (const mem::FieldId f : persist() || shard != nullptr ? inputs
+                                                                : touched) {
+        if (shard != nullptr) {
+          const std::uint64_t cell_bytes =
+              region_->bytes(f) / call_coal_.size();
+          std::vector<mem::ByteRange> rows;
+          rows.reserve(shard->size());
+          for (const mem::ByteRange& r : *shard) {
+            rows.push_back({r.off * cell_bytes, r.len * cell_bytes});
+          }
+          region_->update_to_ranges(f, rows);
+        } else if (persist()) {
+          region_->update_to(f);
+        } else {
+          region_->map_to(f);
+        }
+      }
+    });
+    st.*(runs.back()->slot) = device_space_->launch(desc);
+    if (!persist() && shard == nullptr) {
+      // Close the per-launch `target data` region.
+      charged(*device_, st, [&] {
+        for (const mem::FieldId f : written) region_->map_from(f);
+        region_->unmap_all();
+      });
+      return;
+    }
+    charged(*device_, st, [&] { mark_written(marked, /*on_device=*/true); });
+    charged(*device_, st, [&] {
+      mark_predicated_writes(flushed);
+      for (const mem::FieldId f : flushed) region_->update_from(f);
+      if (!persist()) region_->unmap_all();
+    });
+  };
+
+  if (!node.split) {
+    device_side(nullptr);
+  } else {
+    // The host shard walks the predicate-false remainder concurrently.
+    // Its lanes are Listing 6's gate and nothing else; a nonzero
+    // predicate there means the planner leaked an active cell into the
+    // remainder — a hard error rather than silently dropped physics.
+    std::atomic<std::uint64_t> strays{0};
+    const exec::SplitWalls walls = hetero_->run_split(
+        sp, lp,
+        [&] {
+          if (sp.device_tiles.empty()) return;
+          std::vector<mem::ByteRange> cell_rows;
+          shard_rows(sp, range, &cell_rows);
+          device_side(&cell_rows);
+        },
+        [&](std::int64_t, std::int64_t b, std::int64_t e) {
+          for (std::int64_t f = b; f < e; ++f) {
+            const exec::Range3::Cell c = range.cell(f);
+            if (call_coal_(c.i, c.k, c.j) != 0) {
+              strays.fetch_add(1, std::memory_order_relaxed);
             }
-          });
-    } catch (...) {
-      host_err = std::current_exception();
-    }
-    host_wall = seconds_since(h0);
-  });
-
-  CoalCounters cnt;
-  const auto d0 = Clock::now();
-  try {
-    if (!sp.device_tiles.empty()) {
-      // Shard-granular h2d under BOTH residency modes: a res=step launch
-      // map_allocs per-launch transients (fully host-dirty, so the
-      // ranged update moves exactly the shard's rows — never the
-      // predicate-false remainder), and res=persist moves the host-dirty
-      // bytes inside the shard rows only, leaving the rest marked for
-      // whoever needs them later.  One row walk, scaled per field
-      // footprint.
-      std::vector<mem::ByteRange> cell_rows;
-      shard_rows(sp, range, &cell_rows);
-      auto scaled = [&](std::uint64_t elem_bytes) {
-        std::vector<mem::ByteRange> rows;
-        rows.reserve(cell_rows.size());
-        for (const mem::ByteRange& r : cell_rows) {
-          rows.push_back({r.off * elem_bytes, r.len * elem_bytes});
-        }
-        return rows;
-      };
-      const std::vector<mem::ByteRange> rows_bins =
-          scaled(static_cast<std::uint64_t>(nkr) * sizeof(float));
-      const std::vector<mem::ByteRange> rows_scalar = scaled(sizeof(float));
-      {
-        const gpu::TransferStats tx0 = device_->transfers();
-        region_->update_to_ranges(ids_.call_coal, cell_rows);  // 1 B/cell
-        for (const mem::FieldId f : ids_.ff) {
-          region_->update_to_ranges(f, rows_bins);
-        }
-        region_->update_to_ranges(ids_.temp, rows_scalar);
-        region_->update_to_ranges(ids_.pres, rows_scalar);
-        st.charge_transfer_delta(tx0, device_->transfers());
-      }
-
-      auto run_cell = [&](int i, int k, int j) {
-        coal_run_cell(state, i, k, j, pooled, cnt);
-      };
-
-      gpu::KernelDesc desc;
-      desc.name = "coal_bott_new_loop";
-      desc.regs_per_thread = params_.coal_regs_per_thread;
-      desc.workspace_bytes_per_thread = lp.workspace_bytes_per_thread;
-      desc.double_precision = false;
-      desc.collapse = lp.collapse;
-      if (collapse3) {
-        // One device lane per device-shard cell.
-        desc.iterations = sp.device_cells;
-        desc.body = [&](std::int64_t it) {
-          const exec::Range3::Cell c = range.cell(sp.device_flat(it));
-          run_cell(c.i, c.k, c.j);
-        };
-        desc.trace = [&](std::int64_t it, std::vector<gpu::AccessEvent>& out) {
-          const exec::Range3::Cell c = range.cell(sp.device_flat(it));
-          emit_coal_trace(state, c.i, c.k, c.j, pooled, out);
-        };
-      } else {
-        // collapse(2): one lane per device-shard (k, j) row, i inside.
-        desc.iterations = static_cast<std::int64_t>(sp.device_tiles.size());
-        desc.body = [&](std::int64_t it) {
-          const std::int64_t t =
-              sp.device_tiles[static_cast<std::size_t>(it)];
-          const exec::Range3::Cell c = range.cell(sp.plan.tile_begin(t));
-          for (int i = range.i.lo; i <= range.i.hi; ++i) {
-            run_cell(i, c.k, c.j);
           }
-        };
-        desc.trace = [&](std::int64_t it, std::vector<gpu::AccessEvent>& out) {
-          const std::int64_t t =
-              sp.device_tiles[static_cast<std::size_t>(it)];
-          const exec::Range3::Cell c = range.cell(sp.plan.tile_begin(t));
-          for (int i = range.i.lo; i <= range.i.hi; ++i) {
-            emit_coal_trace(state, i, c.k, c.j, pooled, out);
-          }
-        };
-      }
-      desc.flops_total = [&]() {
-        return coal_flops_model(cnt.interactions.load(), cnt.lookups.load());
-      };
-
-      st.coal_kernel = device_space_->launch(desc);
-
-      // d2h: the kernel's writes at bin-slice granularity through the
-      // predicate (mark_coal_writes) — the host shard wrote nothing, so
-      // this is exactly the bytes that changed hands.  res=step then
-      // closes its per-launch transients.
-      {
-        const gpu::TransferStats tx0 = device_->transfers();
-        mark_coal_writes(state);
-        for (const mem::FieldId f : ids_.ff) region_->update_from(f);
-        if (!persist()) region_->unmap_all();
-        st.charge_transfer_delta(tx0, device_->transfers());
-      }
+        });
+    st.shard_wall_device_sec += walls.device_sec;
+    st.shard_wall_host_sec += walls.host_sec;
+    if (strays.load() != 0) {
+      throw Error("FastSbm: hetero split leaked coal-active cells into the "
+                  "host shard");
     }
-  } catch (...) {
-    host_thread.join();
-    throw;
-  }
-  st.shard_wall_device_sec += seconds_since(d0);
-
-  host_thread.join();
-  if (host_err) std::rethrow_exception(host_err);
-  st.shard_wall_host_sec += host_wall;
-  if (strays.load() != 0) {
-    throw Error("FastSbm: hetero split leaked coal-active cells into the "
-                "host shard");
   }
 
+  st.cells_active += cnt.active.load();
+  st.cells_coal += cnt.coal_cells.load();
+  st.cond_flops += static_cast<double>(cnt.flops_milli.load()) / 1000.0;
+  st.bulk_flops += static_cast<double>(cnt.bulk_flops_milli.load()) / 1000.0;
   st.coal_interactions += cnt.interactions.load();
   st.kernel_entries += cnt.lookups.load();
-  st.coal_flops += coal_flops_model(cnt.interactions.load(),
-                                    cnt.lookups.load());
-  st.wall_coal_sec += seconds_since(t0);
+  st.coal_flops += coal_flops_model(cnt.interactions.load(), cnt.lookups.load());
+  // A launch reporting under the coal slot (a fused one too: the
+  // dominant body) is the collision section of the step.
+  if (runs.back()->slot == &FsbmStats::coal_kernel) {
+    st.wall_coal_sec += seconds_since(t0);
+  }
 }
 
 void FastSbm::pass_sedimentation(MicroState& state, FsbmStats& st,
@@ -1514,9 +1249,6 @@ void FastSbm::pass_sedimentation(MicroState& state, FsbmStats& st,
         }
       });
   st.merge(sum);
-  // Residency: sedimentation rewrote every bin column (host-side under a
-  // host space; modeled as a device kernel under exec=device).
-  mark_pass_writes(st, exec_device_, /*thermo=*/false);
 }
 
 void FastSbm::pass_sedimentation_blocked(MicroState& state, FsbmStats& st,
@@ -1691,8 +1423,6 @@ void FastSbm::pass_sedimentation_blocked(MicroState& state, FsbmStats& st,
   FsbmStats sum;
   for (const FsbmStats& part : parts) sum.merge(part);
   st.merge(sum);
-  // Residency: same dirty marks as the per-column path (see above).
-  mark_pass_writes(st, exec_device_, /*thermo=*/false);
 }
 
 FsbmStats FastSbm::step(MicroState& state, prof::Profiler& prof) {
@@ -1702,10 +1432,6 @@ FsbmStats FastSbm::step(MicroState& state, prof::Profiler& prof) {
             {"groups", schedule_.groups.size()}});
   const auto t0 = Clock::now();
   FsbmStats st;
-  // Walk the fusion schedule: a two-pass group is the fused cond+coal
-  // launch; singleton groups dispatch their pass exactly as the
-  // pre-graph step() did (each node's device/split flags encode the
-  // old offloaded/hetero conditions).
   const std::size_t launches0 =
       device_ != nullptr ? device_->launches().size() : 0;
   // The fidelity sweep is a step prologue, not a PassGraph node: it
@@ -1716,36 +1442,7 @@ FsbmStats FastSbm::step(MicroState& state, prof::Profiler& prof) {
   // without the knob.
   if (params_.phys != PhysScheme::kBin) pass_fidelity(state, st, prof);
   for (const auto& group : schedule_.groups) {
-    const exec::PassNode& head = graph_.node(group[0]);
-    if (group.size() == 2) {
-      if (head.tag != kTagPre || graph_.node(group[1]).tag != kTagCoal) {
-        throw Error("FastSbm: unexpected fused group (only cond+coal has a "
-                    "fused kernel)");
-      }
-      pass_cond_coal_fused(state, st, prof);
-      continue;
-    }
-    switch (head.tag) {
-      case kTagPre:
-        if (head.device) {
-          pass_cond_offload(state, st, prof);
-        } else {
-          pass_physics(state, st, prof);
-        }
-        break;
-      case kTagCoal:
-        if (head.split) {
-          pass_coal_hetero(state, st, prof);
-        } else {
-          pass_coal_offload(state, st, prof);
-        }
-        break;
-      case kTagSed:
-        pass_sedimentation(state, st, prof);
-        break;
-      default:
-        throw Error("FastSbm: unknown pass tag in schedule");
-    }
+    run_group(group, state, st, prof);
   }
   if (device_ != nullptr) {
     const std::uint64_t n =

@@ -139,7 +139,9 @@ struct FsbmStats {
   /// unchanged; surfaced here so benches need no device introspection.
   std::uint64_t kernel_launches = 0;
   double launch_latency_ms = 0.0;
-  /// Device-side numbers (v2/v3 only).
+  /// Device-side numbers (v2/v3 only): the last collision launch
+  /// (a fused cond+coal launch reports here too, under its dominant
+  /// body) and the last standalone condensation launch.
   std::optional<gpu::KernelStats> coal_kernel;
   std::optional<gpu::KernelStats> cond_kernel;  ///< §VIII extension
   double h2d_ms = 0.0;
@@ -217,9 +219,12 @@ class FastSbm {
           FsbmParams params = {}, gpu::Device* device = nullptr,
           exec::ExecSpace* exec = nullptr);
 
-  /// Advance microphysics one step over the patch's computational range.
-  /// Profiler ranges: "fast_sbm" (whole call), "coal_bott_new_loop"
-  /// (collision section), matching the paper's NVTX annotation points.
+  /// Advance microphysics one step over the patch's computational range:
+  /// the fidelity prologue (phys=bulk|hybrid), then every schedule group
+  /// through run_group.  Profiler ranges: "fast_sbm" (whole call), one
+  /// per offloaded launch named after its kernel ("onecond_loop",
+  /// "coal_bott_new_loop" — the collision section — or the fused
+  /// "onecond_coal_fused"), matching the paper's NVTX annotation points.
   FsbmStats step(MicroState& state, prof::Profiler& prof);
 
   Version version() const noexcept { return version_; }
@@ -271,10 +276,6 @@ class FastSbm {
   void mark_transport_writes(FsbmStats* st = nullptr);
 
  private:
-  struct CellRef {
-    int i, k, j;
-  };
-
   /// Step prologue under phys=bulk|hybrid: resolve each cell's fidelity
   /// for this step (promote/demote transitions with hysteresis, or the
   /// override), apply the bin<->bulk transforms, and re-collapse cells
@@ -301,20 +302,62 @@ class FastSbm {
   double sediment_bulk_column(MicroState& state, int i, int j,
                               FsbmStats& pt);
 
-  /// Pass 1: nucleation + condensation per cell; fills the coal
+  /// Per-launch counters of an offloaded kernel; relaxed atomics so
+  /// lanes may run on any shard or pool thread.  A fused launch shares
+  /// one set across its bodies (each body adds only to its own).
+  struct LaneCounters {
+    // Condensation body.
+    std::atomic<std::uint64_t> active{0};
+    std::atomic<std::uint64_t> coal_cells{0};
+    /// flops * 1000 as an integer so relaxed adds stay exact.
+    std::atomic<std::uint64_t> flops_milli{0};
+    /// Bulk-fidelity lanes' Kessler flops (phys=bulk|hybrid only).
+    std::atomic<std::uint64_t> bulk_flops_milli{0};
+    // Collision body.
+    std::atomic<std::uint64_t> interactions{0};
+    std::atomic<std::uint64_t> lookups{0};
+  };
+
+  /// How run_group executes one PassNode, indexed like graph_'s nodes.
+  /// A node is either a host pass (its own tile body through the exec
+  /// space) or a kernel body (one lane's work, launched on the device).
+  struct NodeRun {
+    /// The node's reads/writes resolved to data-region fields; names
+    /// with no device buffer (rho, precip) drop out.
+    std::vector<mem::FieldId> reads, writes;
+    /// Host pass: pass_physics or sedimentation.
+    void (FastSbm::*pass)(MicroState&, FsbmStats&, prof::Profiler&) =
+        nullptr;
+    /// Kernel body: one cell's work and its memory-access trace.
+    void (FastSbm::*cell)(MicroState&, int, int, int, LaneCounters&) =
+        nullptr;
+    void (FastSbm::*trace)(const MicroState&, int, int, int,
+                           std::vector<gpu::AccessEvent>&) const = nullptr;
+    int regs_per_thread = 0;
+    std::uint64_t workspace_bytes_per_thread = 0;
+    /// The body's part of a fused kernel's name ("onecond", "coal").
+    const char* stem = "";
+    /// Where the launch's KernelStats land when this node ends a group.
+    std::optional<gpu::KernelStats> FsbmStats::*slot = nullptr;
+    /// Writes land only on cells whose call_coal_ predicate is set (the
+    /// collision body), so when a host pass consumes them next they are
+    /// marked and flushed d2h slice by slice.
+    bool predicated = false;
+  };
+
+  /// Run one schedule group.  A host node runs its tile body and then
+  /// marks its writes.  Kernel nodes run as ONE launch whose lanes run
+  /// the members' bodies back to back; the transfers around it are
+  /// derived from the members' NodeRun footprints (README, "Pass graph
+  /// & fusion"), over the full range or — for a predicate-split node
+  /// under exec=hetero — the device shard only, with the host remainder
+  /// running concurrently through HeteroSpace::run_split.
+  void run_group(const std::vector<std::size_t>& group, MicroState& state,
+                 FsbmStats& st, prof::Profiler& prof);
+
+  /// Pass 1 (host): nucleation + condensation per cell; fills the coal
   /// predicate for v2/v3 or runs collisions inline for v0/v1.
   void pass_physics(MicroState& state, FsbmStats& st, prof::Profiler& prof);
-
-  /// Pass 2 (v2/v3): the isolated, offloaded collision loop (Listing 6).
-  void pass_coal_offload(MicroState& state, FsbmStats& st,
-                         prof::Profiler& prof);
-
-  /// Heterogeneous collision pass (exec=hetero): predicate-split the
-  /// pass's row-tile plan, launch the kernel over only the device-shard
-  /// tiles (shard-granular h2d/d2h through the data region) while the
-  /// host shard walks the predicate-false remainder concurrently.
-  void pass_coal_hetero(MicroState& state, FsbmStats& st,
-                        prof::Profiler& prof);
 
   /// Memory rows (sorted ascending, disjoint) covering the device-shard
   /// tiles of `sp`, in CELLS of the shared scalar geometry — one walk;
@@ -323,20 +366,6 @@ class FastSbm {
   /// scalars, 1 for the predicate).
   void shard_rows(const exec::SplitPlan& sp, const exec::Range3& range,
                   std::vector<mem::ByteRange>* cell_rows) const;
-
-  /// §VIII extension: nucleation+condensation as a device kernel.
-  void pass_cond_offload(MicroState& state, FsbmStats& st,
-                         prof::Profiler& prof);
-
-  /// Fused cond+coal launch (fuse=auto when the analyzer approves the
-  /// pair): one kernel whose lanes run both pass bodies back to back
-  /// for their own cell, skipping the inter-pass transfer round-trip.
-  /// Bitwise identical to pass_cond_offload + pass_coal_offload — the
-  /// legality proof (analyzer/fusion.hpp) is exactly the pointwise
-  /// condition that makes lane-sequential execution equal to two
-  /// sequential full passes.
-  void pass_cond_coal_fused(MicroState& state, FsbmStats& st,
-                            prof::Profiler& prof);
 
   void pass_sedimentation(MicroState& state, FsbmStats& st,
                           prof::Profiler& prof);
@@ -347,42 +376,28 @@ class FastSbm {
   void pass_sedimentation_blocked(MicroState& state, FsbmStats& st,
                                   prof::Profiler& prof);
 
-  /// Per-launch counters of an offloaded collision kernel; relaxed
-  /// atomics so lanes may run on any shard or pool thread.
-  struct CoalCounters {
-    std::atomic<std::uint64_t> interactions{0};
-    std::atomic<std::uint64_t> lookups{0};
-    std::atomic<std::uint64_t> cells{0};
-  };
+  /// The collision kernel body (Listing 6): predicate gate, device-FMA
+  /// kernel source, stack vs pooled workspace.
+  void coal_run_cell(MicroState& state, int i, int k, int j,
+                     LaneCounters& c);
 
-  /// One offloaded collision lane (Listing 6's body): predicate gate,
-  /// device-FMA kernel source, stack vs pooled workspace.  Shared by
-  /// the full-pass launch and the hetero device shard so the two
-  /// dispatch modes can never drift apart per cell.
-  void coal_run_cell(MicroState& state, int i, int k, int j, bool pooled,
-                     CoalCounters& c);
-
-  /// Per-launch counters of the offloaded condensation kernel.
-  struct CondCounters {
-    std::atomic<std::uint64_t> active{0};
-    std::atomic<std::uint64_t> coal_cells{0};
-    /// flops * 1000 as an integer so relaxed adds stay exact.
-    std::atomic<std::uint64_t> flops_milli{0};
-    /// Bulk-fidelity lanes' Kessler flops (phys=bulk|hybrid only).
-    std::atomic<std::uint64_t> bulk_flops_milli{0};
-  };
-
-  /// One offloaded condensation lane (the §VIII body): predicate
+  /// The condensation kernel body (the §VIII extension): predicate
   /// refill, activity gate, nucleation + condensation, writeback.
-  /// Shared by the standalone cond launch and the fused cond+coal
-  /// launch so the two can never drift apart per cell.
   void cond_run_cell(MicroState& state, int i, int k, int j,
-                     const CondConfig& cond_cfg, const NuclConfig& nucl_cfg,
-                     CondCounters& cnt);
+                     LaneCounters& c);
 
   /// Memory-access trace of one condensation lane (cache model).
   void emit_cond_trace(const MicroState& state, int i, int k, int j,
                        std::vector<gpu::AccessEvent>& out) const;
+
+  /// A launch's modeled flops: the condensation bodies' exact sums plus
+  /// the collision flop model.
+  static double lane_flops(const LaneCounters& c) noexcept {
+    return static_cast<double>(c.flops_milli.load() +
+                               c.bulk_flops_milli.load()) /
+               1000.0 +
+           coal_flops_model(c.interactions.load(), c.lookups.load());
+  }
 
   /// The offloaded kernel's flop model: 24 per interaction + 4 per
   /// kernel lookup.
@@ -407,10 +422,10 @@ class FastSbm {
                               const CoalWorkspace& w);
 
   /// Emit the memory-access trace one collision iteration generates
-  /// (for the device cache model).  `pooled` decides whether workspace
-  /// traffic hits global memory.
+  /// (for the device cache model).  Pooled (v3) runs' workspace traffic
+  /// hits global memory.
   void emit_coal_trace(const MicroState& state, int i, int k, int j,
-                       bool pooled, std::vector<gpu::AccessEvent>& out) const;
+                       std::vector<gpu::AccessEvent>& out) const;
 
   /// The execution space host passes dispatch through (never null).
   exec::ExecSpace& exec_space() const noexcept {
@@ -430,15 +445,10 @@ class FastSbm {
   /// res=persist.
   void mark_written(const std::vector<mem::FieldId>& ids, bool on_device);
 
-  /// Shared pass epilogue: mark_written for the bin fields (plus the
-  /// thermo state + predicate when `thermo`), charging any
-  /// read-coherence flush bytes into `st`.  No-op unless res=persist.
-  void mark_pass_writes(FsbmStats& st, bool on_device, bool thermo);
-
-  /// Strip-granular device-dirty marks for the collision kernel's
-  /// writes: one bin-slice range per predicate-flagged cell, walked in
-  /// memory order so adjacent active cells coalesce.
-  void mark_coal_writes(const MicroState& state);
+  /// Slice-granular device-dirty marks for a predicated kernel's writes:
+  /// one per-cell slice of each field per predicate-flagged cell,
+  /// walked in memory order so adjacent active cells coalesce.
+  void mark_predicated_writes(const std::vector<mem::FieldId>& ids);
 
   grid::Patch patch_;
   Version version_;
@@ -479,10 +489,14 @@ class FastSbm {
   /// True when `exec` is a DeviceSpace: host passes are then modeled as
   /// device-resident kernels, so their writes advance the device copy.
   bool exec_device_ = false;
+  /// Condensation/nucleation settings with the scheme's time step.
+  CondConfig cond_cfg_;
+  NuclConfig nucl_cfg_;
   /// The per-step pass chain (PassNodes with footprints + embedded
   /// kernel sources) and its fusion schedule under params_.fuse.
   exec::PassGraph graph_;
   exec::Schedule schedule_;
+  std::vector<NodeRun> runs_;
 };
 
 }  // namespace wrf::fsbm

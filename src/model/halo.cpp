@@ -10,11 +10,6 @@ namespace {
 
 constexpr int kSides = 4;
 
-/// Legacy single-field tag: (sequence, side), used only by the blocking
-/// convenience functions below (disjoint from HaloExchange tags only
-/// within one test's traffic — don't mix the two on one RankCtx).
-int tag_for(int seq, Side s) { return seq * kSides + static_cast<int>(s); }
-
 /// The (i, k, j) iteration space of one halo strip, in buffer order.
 exec::Range3 rect_range(const grid::Patch& patch, const grid::HaloRect& r) {
   return exec::Range3{r.i, patch.k, r.j};
@@ -265,60 +260,6 @@ void HaloExchange::finish(par::RankCtx& ctx) {
   if (obs::active() != nullptr) {
     span.arg("wait_us", static_cast<std::int64_t>(
                             (ctx.stats().wait_sec - wait0) * 1e6));
-  }
-}
-
-// ------------------------------------------- single-field conveniences
-
-void exchange_halo(par::RankCtx& ctx, const grid::Patch& patch,
-                   Field3D<float>& q, int seq, exec::ExecSpace* ex) {
-  exec::ExecSpace& space = ex != nullptr ? *ex : exec::serial();
-  // Post all sends and receives first (nonblocking), then drain: the
-  // one-field version of the HaloExchange round.
-  std::vector<par::Request> reqs;
-  for (int s = 0; s < kSides; ++s) {
-    const auto side = static_cast<Side>(s);
-    const int nbr = patch.neighbor[s];
-    if (nbr < 0) continue;
-    ctx.isend(nbr, tag_for(seq, side),
-              pack(space, q, patch, patch.send_rect(side)));
-  }
-  for (int s = 0; s < kSides; ++s) {
-    const auto side = static_cast<Side>(s);
-    const int nbr = patch.neighbor[s];
-    if (nbr < 0) continue;
-    reqs.push_back(ctx.irecv(nbr, tag_for(seq, grid::opposite(side))));
-  }
-  std::size_t r = 0;
-  for (int s = 0; s < kSides; ++s) {
-    const auto side = static_cast<Side>(s);
-    if (patch.neighbor[s] < 0) continue;
-    unpack(space, q, patch, patch.recv_rect(side), reqs[r++].wait());
-  }
-}
-
-void exchange_halo_bins(par::RankCtx& ctx, const grid::Patch& patch,
-                        Field4D<float>& q, int seq, exec::ExecSpace* ex) {
-  exec::ExecSpace& space = ex != nullptr ? *ex : exec::serial();
-  std::vector<par::Request> reqs;
-  for (int s = 0; s < kSides; ++s) {
-    const auto side = static_cast<Side>(s);
-    const int nbr = patch.neighbor[s];
-    if (nbr < 0) continue;
-    ctx.isend(nbr, tag_for(seq, side),
-              pack_bins(space, q, patch, patch.send_rect(side)));
-  }
-  for (int s = 0; s < kSides; ++s) {
-    const auto side = static_cast<Side>(s);
-    const int nbr = patch.neighbor[s];
-    if (nbr < 0) continue;
-    reqs.push_back(ctx.irecv(nbr, tag_for(seq, grid::opposite(side))));
-  }
-  std::size_t r = 0;
-  for (int s = 0; s < kSides; ++s) {
-    const auto side = static_cast<Side>(s);
-    if (patch.neighbor[s] < 0) continue;
-    unpack_bins(space, q, patch, patch.recv_rect(side), reqs[r++].wait());
   }
 }
 

@@ -115,19 +115,6 @@ class HaloExchange {
   bool in_flight_ = false;
 };
 
-/// Exchange one 3-D field's halos with all interior neighbors,
-/// blocking.  `seq` must be unique per field within one exchange round.
-/// Single-field convenience kept for tests; the model driver exchanges
-/// its whole field set through a HaloExchange plan.
-void exchange_halo(par::RankCtx& ctx, const grid::Patch& patch,
-                   Field3D<float>& q, int seq,
-                   exec::ExecSpace* ex = nullptr);
-
-/// Exchange one 4-D (bin) field's halos, blocking.
-void exchange_halo_bins(par::RankCtx& ctx, const grid::Patch& patch,
-                        Field4D<float>& q, int seq,
-                        exec::ExecSpace* ex = nullptr);
-
 /// Bytes one rank sends per full exchange of the given field shapes —
 /// used by the communication model without running the exchange.
 std::uint64_t halo_bytes_per_exchange(const grid::Patch& patch, int nk,

@@ -130,7 +130,10 @@ TEST(Halo, ExchangeDeliversNeighborInterior) {
       for (int k = p.k.lo; k <= p.k.hi; ++k)
         for (int i = p.ip.lo; i <= p.ip.hi; ++i)
           q(i, k, j) = static_cast<float>(1000 * j + 10 * k + i);
-    exchange_halo(ctx, p, q, /*seq=*/0);
+    HaloExchange halo(p);
+    halo.add(&q);
+    halo.begin(ctx);
+    halo.finish(ctx);
     // Every interior ghost cell must now hold the global identity value.
     for (int s = 0; s < 4; ++s) {
       if (p.neighbor[s] < 0) continue;
@@ -154,7 +157,10 @@ TEST(Halo, BytesEstimateMatchesActualTraffic) {
   const auto stats = par::run(cfg.nranks(), [&](par::RankCtx& ctx) {
     const grid::Patch& p = patches[static_cast<std::size_t>(ctx.rank())];
     Field3D<float> q(p.im, p.k, p.jm, 0.0f);
-    exchange_halo(ctx, p, q, 0);
+    HaloExchange halo(p);
+    halo.add(&q);
+    halo.begin(ctx);
+    halo.finish(ctx);
   });
   std::uint64_t expected = 0;
   for (const auto& p : patches) {
