@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -42,6 +43,40 @@ inline void print_config_header(const char* what) {
   std::printf("  heap limit    : 64 MB    (NV_ACC_CUDA_HEAPSIZE)\n");
   std::printf("  CPU model     : AMD EPYC 7763 (Milan), 2.45 GHz\n");
   std::printf("================================================================\n\n");
+}
+
+/// The grid benches' command line, read by model::parse_args:
+/// "[nx ny nz nsteps] [--benchmark_format=json]", the four counts all
+/// or none, no knob.  A bad command line prints the error and exits 2.
+struct GridArgs {
+  int nx, ny, nz, nsteps;
+  bool json = false;
+};
+inline GridArgs grid_args(int argc, char** argv, const char* prog,
+                          GridArgs grid) {
+  try {
+    model::RunConfig unused;
+    const model::CommandLine cl = model::parse_args(
+        unused, argc, argv,
+        {.owned = {"--benchmark_format"}, .rows = {}, .max_counts = 4});
+    if (cl.counts.size() == 4) {
+      grid = {cl.counts[0], cl.counts[1], cl.counts[2], cl.counts[3]};
+    } else if (!cl.counts.empty()) {
+      throw ConfigError("want all four of nx ny nz nsteps");
+    }
+    const auto fmt = cl.owned.find("--benchmark_format");
+    if (fmt != cl.owned.end() && fmt->second != "json") {
+      throw ConfigError("'--benchmark_format=" + fmt->second + "': want json");
+    }
+    grid.json = fmt != cl.owned.end();
+  } catch (const ConfigError& e) {
+    std::fprintf(stderr,
+                 "%s: %s\nusage: %s [nx ny nz nsteps] "
+                 "[--benchmark_format=json]\n",
+                 prog, e.what(), prog);
+    std::exit(2);
+  }
+  return grid;
 }
 
 /// The scaled-down CONUS case used for functional measurements.

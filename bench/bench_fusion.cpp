@@ -21,8 +21,6 @@
 //   cell; scripts/bench_json.sh distills BENCH_fusion.json from it.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -128,7 +126,7 @@ void print_json(const std::vector<Cell>& cells, int nx, int ny, int nz,
         "\"h2d_bytes_per_step\": %.0f, \"d2h_bytes_per_step\": %.0f, "
         "\"wall_s_min\": %.4f, \"wall_s_median\": %.4f, \"wall_cv\": %.3f, "
         "\"reps\": %d, \"fused_pair\": \"%s\"}%s\n",
-        exec::fuse_name(c.fuse), mem::residency_name(c.res),
+        model::knob_name(c.fuse), model::knob_name(c.res),
         c.launches_step, c.latency_ms_step, c.h2d_steady, c.d2h_steady,
         c.wall.min, c.wall.median, c.wall.cv, c.wall.reps,
         c.fused_pair.c_str(), n + 1 < cells.size() ? "," : "");
@@ -139,28 +137,8 @@ void print_json(const std::vector<Cell>& cells, int nx, int ny, int nz,
 }  // namespace
 
 int main(int argc, char** argv) {
-  int nx = 107, ny = 75, nz = 50, nsteps = 3;
-  bool json = false;
-  int npos = 0;
-  int pos[4] = {0, 0, 0, 0};
-  for (int a = 1; a < argc; ++a) {
-    if (std::strcmp(argv[a], "--benchmark_format=json") == 0) {
-      json = true;
-    } else if (npos < 4 && std::strchr(argv[a], '=') == nullptr) {
-      pos[npos++] = std::atoi(argv[a]);
-    }
-  }
-  if (npos == 4 && pos[0] > 0) {
-    nx = pos[0];
-    ny = pos[1];
-    nz = pos[2];
-    nsteps = pos[3];
-  } else if (npos != 0) {
-    std::fprintf(stderr,
-                 "bench_fusion: want all four of nx ny nz nsteps "
-                 "(got %d positional args)\n", npos);
-    return 2;
-  }
+  auto [nx, ny, nz, nsteps, json] = bench::grid_args(
+      argc, argv, "bench_fusion", {107, 75, 50, 3});
   if (nsteps < 2) nsteps = 2;  // steady state needs a second step
   const int reps = 3;
 
@@ -210,7 +188,7 @@ int main(int argc, char** argv) {
               "wall med s", "wall CV");
   for (const Cell& c : cells) {
     std::printf("  %-6s %-8s %12.1f %12.4f %12.3f %12.3f %10.3f %8.3f\n",
-                exec::fuse_name(c.fuse), mem::residency_name(c.res),
+                model::knob_name(c.fuse), model::knob_name(c.res),
                 c.launches_step, c.latency_ms_step, mb(c.h2d_steady),
                 mb(c.d2h_steady), c.wall.median, c.wall.cv);
   }

@@ -20,8 +20,6 @@
 //   distills the trajectory point BENCH_hybrid.json from it.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -96,7 +94,7 @@ void print_json(const std::vector<Mode>& modes, int nx, int ny, int nz,
         "\"cells_active\": %llu, \"promotions\": %llu, "
         "\"demotions\": %llu, \"surface_precip\": %.6e, "
         "\"bulk_flops\": %.4e, \"bin_flops\": %.4e}%s\n",
-        fsbm::phys_name(m.phys), m.wall.min, m.wall.median, m.wall.cv,
+        model::knob_name(m.phys), m.wall.min, m.wall.median, m.wall.cv,
         m.wall.reps, m.cellsteps_per_s, m.bin_fraction,
         static_cast<unsigned long long>(m.cells_active),
         static_cast<unsigned long long>(m.promotions),
@@ -109,28 +107,8 @@ void print_json(const std::vector<Mode>& modes, int nx, int ny, int nz,
 }  // namespace
 
 int main(int argc, char** argv) {
-  int nx = 64, ny = 48, nz = 24, nsteps = 3;
-  bool json = false;
-  int npos = 0;
-  int pos[4] = {0, 0, 0, 0};
-  for (int a = 1; a < argc; ++a) {
-    if (std::strcmp(argv[a], "--benchmark_format=json") == 0) {
-      json = true;
-    } else if (npos < 4 && std::strchr(argv[a], '=') == nullptr) {
-      pos[npos++] = std::atoi(argv[a]);
-    }
-  }
-  if (npos == 4 && pos[0] > 0) {
-    nx = pos[0];
-    ny = pos[1];
-    nz = pos[2];
-    nsteps = pos[3];
-  } else if (npos != 0) {
-    std::fprintf(stderr,
-                 "bench_hybrid: want all four of nx ny nz nsteps "
-                 "(got %d positional args)\n", npos);
-    return 2;
-  }
+  auto [nx, ny, nz, nsteps, json] = bench::grid_args(
+      argc, argv, "bench_hybrid", {64, 48, 24, 3});
   // Adaptive reps: at least 3, growing to 8 until the wall CV drops
   // under 10% — the same tune::MeasurePolicy discipline the autotuner's
   // rungs use, so a noisy host spends reps instead of committing jitter.
@@ -171,7 +149,7 @@ int main(int argc, char** argv) {
               "wall min s", "wall med s", "bin frac", "wall CV");
   for (const Mode& m : modes) {
     std::printf("  %-8s %14.0f %12.4f %12.4f %10.3f %8.3f\n",
-                fsbm::phys_name(m.phys), m.cellsteps_per_s, m.wall.min,
+                model::knob_name(m.phys), m.cellsteps_per_s, m.wall.min,
                 m.wall.median, m.bin_fraction, m.wall.cv);
   }
   std::printf("\nhybrid census: %.1f%% of cell-steps at bin fidelity "

@@ -21,8 +21,6 @@
 //   point BENCH_residency.json from it.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -109,7 +107,7 @@ void print_json(const std::vector<Cell>& cells, int nx, int ny, int nz,
         "\"transfer_ms_per_step\": %.6f, \"kernel_ms_per_step\": %.4f, "
         "\"resident_mb\": %.2f, \"wall_s_min\": %.4f, "
         "\"wall_s_median\": %.4f, \"wall_cv\": %.3f, \"reps\": %d}%s\n",
-        fsbm::version_name(c.version), mem::residency_name(c.res),
+        fsbm::version_name(c.version), model::knob_name(c.res),
         c.h2d_first, c.d2h_first, c.h2d_steady, c.d2h_steady,
         c.xfer_ms_steady, c.kernel_ms_step,
         mb(static_cast<double>(c.resident_bytes)),
@@ -122,28 +120,8 @@ void print_json(const std::vector<Cell>& cells, int nx, int ny, int nz,
 }  // namespace
 
 int main(int argc, char** argv) {
-  int nx = 107, ny = 75, nz = 50, nsteps = 3;
-  bool json = false;
-  int npos = 0;
-  int pos[4] = {0, 0, 0, 0};
-  for (int a = 1; a < argc; ++a) {
-    if (std::strcmp(argv[a], "--benchmark_format=json") == 0) {
-      json = true;
-    } else if (npos < 4 && std::strchr(argv[a], '=') == nullptr) {
-      pos[npos++] = std::atoi(argv[a]);
-    }
-  }
-  if (npos == 4 && pos[0] > 0) {
-    nx = pos[0];
-    ny = pos[1];
-    nz = pos[2];
-    nsteps = pos[3];
-  } else if (npos != 0) {
-    std::fprintf(stderr,
-                 "bench_residency: want all four of nx ny nz nsteps "
-                 "(got %d positional args)\n", npos);
-    return 2;
-  }
+  auto [nx, ny, nz, nsteps, json] = bench::grid_args(
+      argc, argv, "bench_residency", {107, 75, 50, 3});
   if (nsteps < 2) nsteps = 2;  // steady state needs a second step
   const int reps = 3;
 
@@ -189,7 +167,7 @@ int main(int argc, char** argv) {
               "wall med s", "wall CV");
   for (const Cell& c : cells) {
     std::printf("  %-24s %-8s %12.3f %12.3f %12.1f %10.4f %10.3f %8.3f\n",
-                fsbm::version_name(c.version), mem::residency_name(c.res),
+                fsbm::version_name(c.version), model::knob_name(c.res),
                 mb(c.h2d_steady), mb(c.d2h_steady), mb(c.h2d_first),
                 c.xfer_ms_steady, c.wall.median, c.wall.cv);
   }

@@ -44,6 +44,9 @@ Shares shares_of(const prof::Profiler& p) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // The two knobs this bench sweeps; anything else is an error.
+  model::RunConfig args;
+  model::parse_args(args, argc, argv, {.rows = {"exec", "sed"}});
   bench::print_config_header("Table I — hotspot time contribution (%)");
 
   // gprof view: all ranks aggregated.
@@ -81,7 +84,7 @@ int main(int argc, char** argv) {
   // Host-parallelism sweep (exec= knob): the same v0 physics pass, one
   // rank, dispatched serial vs. the requested execution space.  Pass
   // `exec=threads:N` to pick the thread count (default: hardware).
-  exec::ExecConfig sweep = exec::exec_from_args(argc, argv);
+  exec::ExecConfig sweep = args.exec;
   if (sweep.kind == exec::ExecKind::kSerial) {
     sweep.kind = exec::ExecKind::kThreads;  // default sweep target
   }
@@ -158,7 +161,7 @@ int main(int argc, char** argv) {
     sd.block = n;
     sed_modes.push_back(sd);
   }
-  const fsbm::SedDispatch custom = fsbm::sed_from_args(argc, argv);
+  const fsbm::SedDispatch custom = args.sed;
   if (custom.kind == fsbm::SedDispatch::Kind::kBlock) {
     sed_modes.push_back(custom);
   }

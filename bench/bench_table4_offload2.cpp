@@ -31,9 +31,6 @@
 //   JSON mode runs only the hetero sweep and emits one record per
 //   version; scripts/bench_json.sh distills BENCH_hetero.json from it.
 
-#include <cstdlib>
-#include <cstring>
-
 #include "offload_runner.hpp"
 
 using namespace wrf;
@@ -163,25 +160,10 @@ int hetero_gate(const HeteroCell* cells, int n) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool json = false;
-  int npos = 0;
-  int pos[4] = {0, 0, 0, 0};
-  for (int a = 1; a < argc; ++a) {
-    if (std::strcmp(argv[a], "--benchmark_format=json") == 0) {
-      json = true;
-    } else if (npos < 4 && std::strchr(argv[a], '=') == nullptr) {
-      pos[npos++] = std::atoi(argv[a]);
-    }
-  }
   // Default: the CONUS rank patch of the paper tables (50 levels reach
   // 20 km, so ~40% of each column sits above the coal gate).
-  int nx = 107, ny = 75, nz = 50, nsteps = 1;
-  if (npos == 4 && pos[0] > 0) {
-    nx = pos[0];
-    ny = pos[1];
-    nz = pos[2];
-    nsteps = pos[3];
-  }
+  const auto [nx, ny, nz, nsteps, json] = bench::grid_args(
+      argc, argv, "bench_table4_offload2", {107, 75, 50, 1});
 
   const int reps = 3;
   HeteroCell het[2];

@@ -3,12 +3,13 @@
 // storm diagnostics and a diffwrf-style verification against the CPU
 // build — the Section IV / VII-B workflow as a user would run it.
 //
-// Run: ./build/conus_thunderstorm [nx ny nz nsteps] [exec=threads:N|hetero:N]
-//      [halo=sync|overlap] [phys=bin|bulk|hybrid] [obs=trace[:path]]
-//      [out=path]   (history file; default build/conus_thunderstorm_out.bin)
+// Run: ./build/conus_thunderstorm [nx ny nz nsteps] [out=path] [knob=value ...]
+//      out= names the history file (default build/conus_thunderstorm_out.bin);
+//      every knob of the table (model/knobs.hpp) is accepted, e.g.
+//      exec=threads:N halo=overlap phys=hybrid obs=trace[:path].
+//      A bad argument prints the error and the usage line and exits 2.
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
 
@@ -17,36 +18,26 @@
 
 using namespace wrf;
 
-int main(int argc, char** argv) {
-  // Positional [nx ny nz nsteps]; any key=value knob may sit anywhere.
-  int pos[4] = {72, 54, 30, 12};  // nsteps default: one simulated minute
-  int npos = 0;
-  std::string out_path = "build/conus_thunderstorm_out.bin";
-  for (int a = 1; a < argc; ++a) {
-    const std::string s(argv[a]);
-    if (s.rfind("out=", 0) == 0) {
-      out_path = s.substr(4);
-      continue;
-    }
-    if (s.find('=') != std::string::npos) continue;
-    if (npos < 4) pos[npos++] = std::atoi(argv[a]);
-  }
+int main(int argc, char** argv) try {
   model::RunConfig cfg;
-  cfg.nx = pos[0];
-  cfg.ny = pos[1];
-  cfg.nz = pos[2];
-  cfg.nsteps = pos[3];
+  cfg.nx = 72;
+  cfg.ny = 54;
+  cfg.nz = 30;
+  cfg.nsteps = 12;  // one simulated minute
   cfg.npx = 2;
   cfg.npy = 2;
   cfg.version = fsbm::Version::kV3Offload3;
-  cfg.exec = exec::exec_from_args(argc, argv);
-  cfg.halo_mode = dyn::halo_mode_from_args(argc, argv);
-  cfg.sed = fsbm::sed_from_args(argc, argv);
-  cfg.phys = fsbm::phys_from_args(argc, argv);  // bin | bulk | hybrid
-  cfg.res = mem::residency_from_args(argc, argv);
-  cfg.fuse = exec::fuse_from_args(argc, argv);  // off | auto
-  cfg.obs = obs::obs_from_args(argc, argv);     // off | metrics | trace
-  cfg.tune = tune::tune_from_args(argc, argv);  // off | auto | file:<path>
+  // Positional [nx ny nz nsteps]; any key=value knob may sit anywhere.
+  const model::CommandLine cl =
+      model::parse_args(cfg, argc, argv, {.owned = {"out"}, .max_counts = 4});
+  int* const positional[] = {&cfg.nx, &cfg.ny, &cfg.nz, &cfg.nsteps};
+  for (std::size_t p = 0; p < cl.counts.size(); ++p) {
+    *positional[p] = cl.counts[p];
+  }
+  const auto out = cl.owned.find("out");
+  const std::string out_path = out != cl.owned.end()
+                                   ? out->second
+                                   : "build/conus_thunderstorm_out.bin";
   cfg.validate();
 
   std::printf("CONUS-like thunderstorm\n=======================\n%s\n\n",
@@ -169,4 +160,10 @@ int main(int argc, char** argv) {
   storm.snapshot().write(out_path);
   std::printf("\nhistory written to %s\n", out_path.c_str());
   return 0;
+} catch (const ConfigError& e) {
+  std::fprintf(stderr,
+               "conus_thunderstorm: %s\nusage: conus_thunderstorm "
+               "[nx ny nz nsteps] [out=path] %s\n",
+               e.what(), model::knob_usage().c_str());
+  return 2;
 }

@@ -19,16 +19,19 @@
 //                                                   [obs=metrics|trace[:path]]
 //                                                   [tune=auto|file:tuned.json]
 //
+// A bad argument prints the error and the usage line and exits 2.
+//
 // With obs on, the scheduler writes obs_service.prom (Prometheus text) at
 // shutdown; obs=trace additionally writes a Chrome/Perfetto trace with one
 // track per lane.
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "model/knobs.hpp"
 #include "svc/scheduler.hpp"
+#include "util/count.hpp"
 
 using namespace wrf;
 
@@ -49,15 +52,6 @@ model::RunConfig scenario(int nx, int ny, int nz, int nsteps,
   return cfg;
 }
 
-int lanes_from_args(int argc, char** argv) {
-  for (int n = 1; n < argc; ++n) {
-    if (std::strncmp(argv[n], "lanes=", 6) == 0) {
-      return std::atoi(argv[n] + 6);
-    }
-  }
-  return 2;
-}
-
 const char* outcome_name(svc::JobOutcome o) {
   switch (o) {
     case svc::JobOutcome::kCompleted: return "completed";
@@ -67,15 +61,22 @@ const char* outcome_name(svc::JobOutcome o) {
   return "?";
 }
 
+// The service-level knobs: every job carries its own scenario config.
+const model::ArgSpec kArgs = {.owned = {"lanes"}, .rows = {"obs", "tune"}};
+
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
+  model::RunConfig knobs;
+  const model::CommandLine cl = model::parse_args(knobs, argc, argv, kArgs);
+  const auto lanes = cl.owned.find("lanes");
   svc::SchedulerConfig sc;
-  sc.lanes = lanes_from_args(argc, argv);
+  sc.lanes = lanes != cl.owned.end() ? parse_count(lanes->second, "lanes")
+                                     : 2;
   sc.batch_max = 4;
   sc.start_paused = true;  // submit the whole stream, then release it
-  sc.obs = obs::obs_from_args(argc, argv);  // off | metrics | trace[:path]
-  sc.tune = tune::tune_from_args(argc, argv);  // off | auto | file:<path>
+  sc.obs = knobs.obs;
+  sc.tune = knobs.tune;
 
   std::printf("miniWRF-SBM forecast service\n============================\n");
   std::printf("pool: %d lanes of %s (%.1f GB DRAM each)\n",
@@ -231,4 +232,9 @@ int main(int argc, char** argv) {
   std::printf("\n%s\n", failures == 0 ? "all service guarantees hold"
                                       : "SERVICE GUARANTEES VIOLATED");
   return failures == 0 ? 0 : 1;
+} catch (const ConfigError& e) {
+  std::fprintf(stderr,
+               "forecast_service: %s\nusage: forecast_service [lanes=N] %s\n",
+               e.what(), model::knob_usage(kArgs).c_str());
+  return 2;
 }

@@ -4,10 +4,12 @@
 // the per-version timings.
 //
 // Build & run:
-//   cmake --build build && ./build/quickstart [exec=threads:N] [halo=overlap]
-//                                             [sed=block:8] [exec=hetero:N]
-//                                             [phys=hybrid] [obs=trace[:path]]
-//                                             [tune=auto|file:tuned.json]
+//   cmake --build build && ./build/quickstart [knob=value ...]
+//
+// Every knob of the table (model/knobs.hpp) is accepted, e.g.
+// exec=threads:4 halo=overlap sed=block:8 phys=hybrid obs=trace
+// tune=file:tuned.json.  A bad argument prints the error and the usage
+// line and exits 2.
 
 #include <cstdio>
 
@@ -15,7 +17,7 @@
 
 using namespace wrf;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   model::RunConfig cfg;
   cfg.nx = 48;
   cfg.ny = 36;
@@ -24,15 +26,7 @@ int main(int argc, char** argv) {
   cfg.nsteps = 3;
   cfg.npx = 2;
   cfg.npy = 2;
-  cfg.exec = exec::exec_from_args(argc, argv);  // serial | threads:N |
-                                                // device | hetero:N
-  cfg.halo_mode = dyn::halo_mode_from_args(argc, argv);  // sync | overlap
-  cfg.sed = fsbm::sed_from_args(argc, argv);    // column | block:N
-  cfg.res = mem::residency_from_args(argc, argv);  // step | persist
-  cfg.fuse = exec::fuse_from_args(argc, argv);     // off | auto
-  cfg.phys = fsbm::phys_from_args(argc, argv);     // bin | bulk | hybrid
-  cfg.obs = obs::obs_from_args(argc, argv);        // off | metrics | trace
-  cfg.tune = tune::tune_from_args(argc, argv);     // off | auto | file:<path>
+  model::parse_args(cfg, argc, argv);
 
   std::printf("miniWRF-SBM quickstart\n======================\n");
   std::printf("case: %s\n\n", cfg.describe().c_str());
@@ -75,4 +69,8 @@ int main(int argc, char** argv) {
                 prof.format_flat_report().c_str());
   }
   return 0;
+} catch (const ConfigError& e) {
+  std::fprintf(stderr, "quickstart: %s\nusage: quickstart %s\n", e.what(),
+               model::knob_usage().c_str());
+  return 2;
 }

@@ -3,11 +3,13 @@
 // equal-resource crossover falls.  This drives the same perfmodel the
 // Table VII bench uses, but lets you vary GPUs and rank counts.
 //
-// Run: ./build/scaling_study [ngpus] [exec=threads:N|hetero:N]
-//      [halo=sync|overlap] [obs=trace[:path]]
+// Run: ./build/scaling_study [ngpus] [knob=value ...]
+//      Every knob of the table (model/knobs.hpp) is accepted and applies
+//      to the calibration run, e.g. exec=threads:N halo=overlap
+//      phys=hybrid obs=trace[:path].  A bad argument prints the error and
+//      the usage line and exits 2.
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "model/driver.hpp"
@@ -15,14 +17,7 @@
 
 using namespace wrf;
 
-int main(int argc, char** argv) {
-  int ngpus = 16;
-  for (int a = 1; a < argc; ++a) {
-    if (std::string(argv[a]).find('=') != std::string::npos) continue;
-    ngpus = std::atoi(argv[a]);
-    break;
-  }
-
+int main(int argc, char** argv) try {
   // Measure a work profile from a real scaled-down run.
   model::RunConfig cfg;
   cfg.nx = 64;
@@ -31,13 +26,9 @@ int main(int argc, char** argv) {
   cfg.npx = cfg.npy = 2;
   cfg.nsteps = 2;
   cfg.version = fsbm::Version::kV1LookupOnDemand;
-  cfg.exec = exec::exec_from_args(argc, argv);
-  cfg.halo_mode = dyn::halo_mode_from_args(argc, argv);
-  cfg.sed = fsbm::sed_from_args(argc, argv);
-  cfg.res = mem::residency_from_args(argc, argv);
-  cfg.fuse = exec::fuse_from_args(argc, argv);
-  cfg.obs = obs::obs_from_args(argc, argv);  // traces the calibration run
-  cfg.tune = tune::tune_from_args(argc, argv);  // off | auto | file:<path>
+  const model::CommandLine cl =
+      model::parse_args(cfg, argc, argv, {.max_counts = 1});
+  const int ngpus = cl.counts.empty() ? 16 : cl.counts[0];
   prof::Profiler prof;
   const model::RunResult res = model::run_simulation(cfg, prof);
 
@@ -110,4 +101,8 @@ int main(int argc, char** argv) {
   std::printf("\n(paper Table VII with 16 GPUs: 2.08x @16, 1.82x @32, "
               "1.56x @64 ranks)\n");
   return 0;
+} catch (const ConfigError& e) {
+  std::fprintf(stderr, "scaling_study: %s\nusage: scaling_study [ngpus] %s\n",
+               e.what(), model::knob_usage().c_str());
+  return 2;
 }

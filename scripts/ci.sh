@@ -136,9 +136,26 @@ run_tune_smoke() {
   echo "tune smoke: artifact parses, gates pass, tune=file: loads"
 }
 
+run_knob_smoke() {
+  # Smoke the strict knob table at the CLI surface: a misspelled key must
+  # end in a typed error that names it (exit 2, usage on stderr), not a
+  # silent default and not std::terminate.
+  echo "=== knob smoke ==="
+  local build_dir="build-ci-release"
+  local err="${build_dir}/knob_ci_smoke.err"
+  local rc=0
+  "${build_dir}/quickstart" exce=device > /dev/null 2> "${err}" || rc=$?
+  [ "${rc}" -eq 2 ] \
+    || { echo "knob smoke: quickstart exce=device exited ${rc}, want 2"; return 1; }
+  grep -q "exce" "${err}" \
+    || { echo "knob smoke: stderr does not name 'exce'"; cat "${err}"; return 1; }
+  echo "knob smoke: quickstart exce=device exits 2 naming the token"
+}
+
 if [ $# -eq 0 ]; then
   run_matrix_config Debug
   run_matrix_config Release
+  run_knob_smoke
   run_bench_smoke
   run_obs_smoke
   run_tune_smoke
@@ -146,6 +163,7 @@ elif [ "${1}" = "tsan" ]; then
   run_tsan
 elif [ "${1}" = "bench" ]; then
   run_matrix_config Release
+  run_knob_smoke
   run_bench_smoke
   run_obs_smoke
   run_tune_smoke

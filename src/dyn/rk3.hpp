@@ -29,15 +29,6 @@ namespace wrf::dyn {
 /// The `halo=` knob: blocking exchange vs comms/compute overlap.
 enum class HaloMode : int { kSync = 0, kOverlap = 1 };
 
-/// Parse "sync" | "overlap"; throws ConfigError on anything else.
-HaloMode parse_halo_mode(const std::string& s);
-const char* halo_mode_name(HaloMode m) noexcept;
-
-/// Scan argv for a `halo=<mode>` argument (any position); returns kSync
-/// when absent.  Shared by the examples and benches, like
-/// exec::exec_from_args.
-HaloMode halo_mode_from_args(int argc, char** argv);
-
 /// Phased halo refresh.  `begin(state)` must post all communication for
 /// one exchange round (and may complete local work); after
 /// `finish(state)` every advected field must have valid halos.  Between

@@ -9,6 +9,7 @@
 #include "mem/residency.hpp"
 #include "obs/trace.hpp"
 #include "par/thread_pool.hpp"
+#include "util/count.hpp"
 
 namespace wrf::exec {
 
@@ -320,29 +321,6 @@ SplitWalls HeteroSpace::run_split(const SplitPlan& sp, const LaunchParams& p,
 
 // ----------------------------------------------------------------- config
 
-namespace {
-
-/// Parse the ":N" suffix of a "mode:N" knob; throws ConfigError naming
-/// `what` when N is missing, non-numeric, trailing-junked, or < 1.
-int parse_thread_suffix(const std::string& s, const std::string& prefix,
-                        const char* what) {
-  const std::string num = s.substr(prefix.size());
-  std::size_t pos = 0;
-  int n = 0;
-  try {
-    n = std::stoi(num, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  if (pos != num.size() || num.empty() || n < 1) {
-    throw ConfigError("ExecConfig: bad thread count in '" + s + "' (want " +
-                      what + ":N with N >= 1)");
-  }
-  return n;
-}
-
-}  // namespace
-
 ExecConfig ExecConfig::parse(const std::string& s) {
   ExecConfig cfg;
   if (s == "serial") {
@@ -366,13 +344,15 @@ ExecConfig ExecConfig::parse(const std::string& s) {
   const std::string threads_prefix = "threads:";
   if (s.rfind(threads_prefix, 0) == 0) {
     cfg.kind = ExecKind::kThreads;
-    cfg.nthreads = parse_thread_suffix(s, threads_prefix, "threads");
+    cfg.nthreads = parse_count(s.substr(threads_prefix.size()),
+                               "ExecConfig: thread count");
     return cfg;
   }
   const std::string hetero_prefix = "hetero:";
   if (s.rfind(hetero_prefix, 0) == 0) {
     cfg.kind = ExecKind::kHetero;
-    cfg.nthreads = parse_thread_suffix(s, hetero_prefix, "hetero");
+    cfg.nthreads = parse_count(s.substr(hetero_prefix.size()),
+                               "ExecConfig: host-shard thread count");
     return cfg;
   }
   throw ConfigError("ExecConfig: unknown exec mode '" + s +
@@ -416,17 +396,6 @@ std::unique_ptr<ExecSpace> make_space(const ExecConfig& cfg,
 ExecSpace& serial() {
   static SerialSpace space;
   return space;
-}
-
-ExecConfig exec_from_args(int argc, char** argv) {
-  const std::string prefix = "exec=";
-  for (int a = 1; a < argc; ++a) {
-    const std::string s = argv[a];
-    if (s.rfind(prefix, 0) == 0) {
-      return ExecConfig::parse(s.substr(prefix.size()));
-    }
-  }
-  return ExecConfig{};
 }
 
 }  // namespace wrf::exec

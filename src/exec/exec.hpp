@@ -459,10 +459,4 @@ std::unique_ptr<ExecSpace> make_space(const ExecConfig& cfg,
 /// ExecSpace* and fall back to serial dispatch.
 ExecSpace& serial();
 
-/// Scan argv for an `exec=<mode>` argument (any position) and parse it;
-/// returns the default (serial) config when absent.  Shared by the
-/// examples and benches so every binary sweeps host parallelism the same
-/// way it sweeps FSBM versions.
-ExecConfig exec_from_args(int argc, char** argv);
-
 }  // namespace wrf::exec

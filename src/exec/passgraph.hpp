@@ -45,15 +45,6 @@ enum class FuseMode : int {
   kAuto = 1,  ///< fuse adjacent device passes the analyzer proves legal
 };
 
-/// Parse "off" | "auto"; throws ConfigError on anything else.
-FuseMode parse_fuse(const std::string& s);
-
-/// Render back to the knob syntax.
-const char* fuse_name(FuseMode m) noexcept;
-
-/// Scan argv for a `fuse=<mode>` argument (any position); default off.
-FuseMode fuse_from_args(int argc, char** argv);
-
 /// One pass's declared footprint and tile plan.
 struct PassNode {
   std::string name;      ///< kernel/pass name (diagnostics, decisions)

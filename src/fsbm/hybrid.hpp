@@ -51,16 +51,6 @@ namespace wrf::fsbm {
 /// The `phys=` knob: which microphysics fidelity the scheme runs.
 enum class PhysScheme : int { kBin = 0, kBulk = 1, kHybrid = 2 };
 
-const char* phys_name(PhysScheme p);
-
-/// Parse "bin" | "bulk" | "hybrid"; throws ConfigError on anything else.
-PhysScheme parse_phys(const std::string& s);
-
-/// Scan argv for a `phys=<mode>` argument (any position); returns the
-/// default (bin) when absent.  Shared by the examples and benches, like
-/// fsbm::sed_from_args.
-PhysScheme phys_from_args(int argc, char** argv);
-
 /// Per-cell fidelity codes (Field3D<uint8_t> values).
 constexpr std::uint8_t kFidelityBulk = 0;
 constexpr std::uint8_t kFidelityBin = 1;

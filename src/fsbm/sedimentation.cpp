@@ -1,11 +1,11 @@
 #include "fsbm/sedimentation.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
+
+#include "util/count.hpp"
 
 namespace wrf::fsbm {
 
@@ -155,26 +155,15 @@ SedStats sediment_block(const BinGrid& bins, Species sp, float* g_blk,
 
 SedDispatch SedDispatch::parse(const std::string& s) {
   SedDispatch d;
-  if (s == "column") {
-    d.kind = Kind::kColumn;
-    return d;
-  }
-  const std::string prefix = "block";
-  if (s.rfind(prefix, 0) == 0) {
+  if (s == "column") return d;
+  const std::string prefix = "block:";
+  if (s == "block" || s.rfind(prefix, 0) == 0) {
     d.kind = Kind::kBlock;
-    if (s.size() == prefix.size()) return d;  // bare "block": default width
-    if (s[prefix.size()] == ':') {
-      const std::string n = s.substr(prefix.size() + 1);
-      if (!n.empty() &&
-          n.find_first_not_of("0123456789") == std::string::npos) {
-        errno = 0;
-        const long v = std::strtol(n.c_str(), nullptr, 10);
-        if (errno == 0 && v >= 1 && v <= 1 << 20) {
-          d.block = static_cast<int>(v);
-          return d;
-        }
-      }
+    if (s != "block") {  // bare "block" keeps the default width
+      d.block =
+          parse_count(s.substr(prefix.size()), "SedDispatch: block width");
     }
+    return d;
   }
   throw ConfigError("SedDispatch: unknown sed mode '" + s +
                     "' (want column | block[:N], N >= 1)");
@@ -185,17 +174,6 @@ std::string SedDispatch::describe() const {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "block:%d", block);
   return buf;
-}
-
-SedDispatch sed_from_args(int argc, char** argv) {
-  const std::string prefix = "sed=";
-  for (int a = 1; a < argc; ++a) {
-    const std::string s = argv[a];
-    if (s.rfind(prefix, 0) == 0) {
-      return SedDispatch::parse(s.substr(prefix.size()));
-    }
-  }
-  return SedDispatch{};
 }
 
 }  // namespace wrf::fsbm

@@ -116,9 +116,4 @@ struct SedDispatch {
   std::string describe() const;
 };
 
-/// Scan argv for a `sed=<mode>` argument (any position); returns the
-/// default (column) when absent.  Shared by the examples and benches,
-/// like exec::exec_from_args and dyn::halo_mode_from_args.
-SedDispatch sed_from_args(int argc, char** argv);
-
 }  // namespace wrf::fsbm

@@ -48,15 +48,6 @@ namespace wrf::mem {
 /// as-ported behavior) vs persistent device residency across steps.
 enum class ResidencyMode : int { kStep = 0, kPersist = 1 };
 
-/// Parse "step" | "persist"; throws ConfigError on anything else.
-ResidencyMode parse_residency(const std::string& s);
-const char* residency_name(ResidencyMode m) noexcept;
-
-/// Scan argv for a `res=<mode>` argument (any position); returns kStep
-/// when absent.  Shared by the examples and benches, like
-/// exec::exec_from_args and fsbm::sed_from_args.
-ResidencyMode residency_from_args(int argc, char** argv);
-
 /// One contiguous byte range of a field's storage (e.g. a strip row).
 struct ByteRange {
   std::uint64_t off = 0;

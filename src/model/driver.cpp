@@ -86,42 +86,46 @@ void RunConfig::validate() const {
   }
   if (dt <= 0.0 || nsteps < 0) throw ConfigError("RunConfig: bad time axis");
   if (ngpus < 1) throw ConfigError("RunConfig: ngpus must be >= 1");
-  if ((exec.kind == exec::ExecKind::kThreads ||
-       exec.kind == exec::ExecKind::kHetero) &&
-      exec.nthreads < 0) {
-    throw ConfigError("RunConfig: exec thread count must be >= 0");
-  }
   if (halo < dyn::kStencilWidth) {
     throw ConfigError("RunConfig: halo narrower than the advection stencil");
   }
-  if (sed.kind == fsbm::SedDispatch::Kind::kBlock &&
-      (sed.block < 1 || sed.block > 4096)) {
-    throw ConfigError("RunConfig: sed block width outside [1, 4096]");
+  for (const Knob& k : knob_table()) {
+    if (const char* why = k.illegal != nullptr ? k.illegal(*this) : nullptr) {
+      throw ConfigError(std::string("RunConfig: ") + why);
+    }
   }
   // The hybrid knob's own tunables are validated against nkr by the
   // scheme ctor (FastSbm), which knows the bin grid.
 }
 
 std::string RunConfig::describe() const {
-  char buf[320];
+  char buf[160];
   std::snprintf(buf, sizeof(buf),
                 "grid %dx%dx%d dx=%.0fm dt=%.1fs nkr=%d ranks=%dx%d "
-                "version=%s exec=%s halo=%s phys=%s sed=%s res=%s fuse=%s "
-                "ngpus=%d",
+                "version=%s",
                 nx, ny, nz, dx, dt, nkr, npx, npy,
-                fsbm::version_name(version), exec.describe().c_str(),
-                dyn::halo_mode_name(halo_mode), fsbm::phys_name(phys),
-                sed.describe().c_str(), mem::residency_name(res),
-                exec::fuse_name(fuse), ngpus);
+                fsbm::version_name(version));
   std::string out = buf;
-  // Appended only when enabled: obs is pure observation (no physics
-  // effect), so default describe() strings — and the svc shape keys
-  // derived from them — stay exactly as before the knob existed.
-  if (!obs.off()) out += " obs=" + obs.describe();
-  // Same contract for tune=: the spec never changes physics, and the
-  // run entry points resolve it to explicit knobs (tune forced off)
-  // before any work, so a resolved config describes like a hand-set one.
-  if (!tune.off()) out += " tune=" + tune.describe();
+  for (const Knob& k : knob_table()) {
+    if (k.role == KnobRole::kControl) continue;
+    out += ' ';
+    out += k.key;
+    out += '=';
+    out += k.value(*this);
+  }
+  out += " ngpus=" + std::to_string(ngpus);
+  // Control rows are appended only when set: they never change physics,
+  // so default strings — and the svc shape keys derived from them —
+  // stay as they were before those knobs existed.
+  for (const Knob& k : knob_table()) {
+    if (k.role != KnobRole::kControl) continue;
+    const std::string v = k.value(*this);
+    if (v == "off") continue;
+    out += ' ';
+    out += k.key;
+    out += '=';
+    out += v;
+  }
   return out;
 }
 

@@ -14,6 +14,7 @@
 #include "model/case_conus.hpp"
 #include "model/config.hpp"
 #include "model/halo.hpp"
+#include "model/knobs.hpp"
 #include "obs/registry.hpp"
 #include "par/simpi.hpp"
 #include "prof/prof.hpp"

@@ -376,9 +376,10 @@ Artifact load_artifact(const std::string& path) {
       e.ladder.push_back(std::move(rung));
     }
     // The loadability contract: a winner that does not parse back into
-    // a KnobSet can never be applied — reject at load time, where the
+    // legal knobs can never be applied — reject at load time, where the
     // artifact (not the requesting run) is identifiably at fault.
-    (void)KnobSet::parse(e.knobs);
+    model::RunConfig probe;
+    model::apply_knob_string(probe, e.knobs);
     art.entries.push_back(std::move(e));
   }
   return art;
@@ -387,7 +388,7 @@ Artifact load_artifact(const std::string& path) {
 bool apply_artifact(model::RunConfig& cfg, const Artifact& artifact) {
   const TunedEntry* entry = artifact.find(shape_key(cfg));
   if (entry == nullptr) return false;
-  KnobSet::parse(entry->knobs).apply_to(cfg);
+  model::apply_knob_string(cfg, entry->knobs);
   return true;
 }
 

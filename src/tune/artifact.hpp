@@ -61,7 +61,7 @@ struct Rung {
 /// The tuned result for one shape.
 struct TunedEntry {
   std::string shape;  ///< tune::shape_key of the configs this applies to
-  std::string knobs;  ///< winning KnobSet::describe() string
+  std::string knobs;  ///< winning model::knob_string
   int steps = 0;      ///< deciding rung's per-run step count
   RepAggregate wall;  ///< winner's aggregate on the deciding rung
   double cellsteps_per_s = 0.0;

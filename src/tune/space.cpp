@@ -2,180 +2,54 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <sstream>
-
-#include "util/error.hpp"
 
 namespace wrf::tune {
-
-KnobSet KnobSet::of(const model::RunConfig& cfg) {
-  KnobSet k;
-  k.exec = cfg.exec;
-  k.halo = cfg.halo_mode;
-  k.sed = cfg.sed;
-  k.res = cfg.res;
-  k.fuse = cfg.fuse;
-  return k;
-}
-
-void KnobSet::apply_to(model::RunConfig& cfg) const {
-  cfg.exec = exec;
-  cfg.halo_mode = halo;
-  cfg.sed = sed;
-  cfg.res = res;
-  cfg.fuse = fuse;
-}
-
-std::string KnobSet::describe() const {
-  std::string out = "exec=" + exec.describe();
-  out += " halo=";
-  out += dyn::halo_mode_name(halo);
-  out += " sed=" + sed.describe();
-  out += " res=";
-  out += mem::residency_name(res);
-  out += " fuse=";
-  out += exec::fuse_name(fuse);
-  return out;
-}
-
-KnobSet KnobSet::parse(const std::string& s) {
-  KnobSet k;
-  bool seen[5] = {false, false, false, false, false};
-  std::istringstream in(s);
-  std::string token;
-  while (in >> token) {
-    const std::size_t eq = token.find('=');
-    if (eq == std::string::npos) {
-      throw ConfigError("KnobSet: token '" + token +
-                        "' is not key=value in '" + s + "'");
-    }
-    const std::string key = token.substr(0, eq);
-    const std::string val = token.substr(eq + 1);
-    int which = -1;
-    if (key == "exec") {
-      which = 0;
-      k.exec = exec::ExecConfig::parse(val);
-    } else if (key == "halo") {
-      which = 1;
-      k.halo = dyn::parse_halo_mode(val);
-    } else if (key == "sed") {
-      which = 2;
-      k.sed = fsbm::SedDispatch::parse(val);
-    } else if (key == "res") {
-      which = 3;
-      k.res = mem::parse_residency(val);
-    } else if (key == "fuse") {
-      which = 4;
-      k.fuse = exec::parse_fuse(val);
-    } else {
-      throw ConfigError("KnobSet: unknown knob '" + key + "' in '" + s +
-                        "' (tunable knobs: exec halo sed res fuse)");
-    }
-    if (seen[which]) {
-      throw ConfigError("KnobSet: duplicate knob '" + key + "' in '" + s +
-                        "'");
-    }
-    seen[which] = true;
-  }
-  return k;
-}
-
-bool KnobSet::operator==(const KnobSet& o) const noexcept {
-  return exec.kind == o.exec.kind && exec.nthreads == o.exec.nthreads &&
-         halo == o.halo && sed.kind == o.sed.kind &&
-         (sed.kind == fsbm::SedDispatch::Kind::kColumn ||
-          sed.block == o.sed.block) &&
-         res == o.res && fuse == o.fuse;
-}
 
 std::string shape_key(const model::RunConfig& cfg) {
   char buf[160];
   std::snprintf(buf, sizeof(buf),
                 "grid %dx%dx%d nkr=%d ranks=%dx%d version=%s phys=%s",
                 cfg.nx, cfg.ny, cfg.nz, cfg.nkr, cfg.npx, cfg.npy,
-                fsbm::version_name(cfg.version), fsbm::phys_name(cfg.phys));
+                fsbm::version_name(cfg.version), model::knob_name(cfg.phys));
   return buf;
 }
 
 SearchSpace SearchSpace::enumerate(const model::RunConfig& base,
                                    int hw_threads) {
-  const bool offloaded = base.offloaded();
-  const bool multi_rank = base.nranks() > 1;
-  if (hw_threads < 1) hw_threads = 1;
-
-  // Candidate values per dimension, base-config validity applied here.
-  std::vector<exec::ExecConfig> execs;
-  {
-    exec::ExecConfig e;
-    execs.push_back(e);  // serial
-    // Thread counts: hardware width, half-width when distinct, and one
-    // oversubscribed point (2 on a 1-core host) — the measured rungs
-    // decide whether oversubscription pays on this machine.
-    std::vector<int> counts;
-    counts.push_back(std::max(hw_threads, 2));
-    if (hw_threads >= 4) counts.push_back(hw_threads / 2);
-    for (const int t : counts) {
-      e.kind = exec::ExecKind::kThreads;
-      e.nthreads = t;
-      execs.push_back(e);
-    }
-    if (offloaded) {
-      e.kind = exec::ExecKind::kDevice;
-      e.nthreads = 0;
-      execs.push_back(e);
-      e.kind = exec::ExecKind::kHetero;
-      e.nthreads = std::max(hw_threads, 2);
-      execs.push_back(e);
-    }
+  hw_threads = std::max(hw_threads, 1);
+  std::vector<const model::Knob*> rows;
+  std::vector<std::vector<std::string>> values;
+  for (const model::Knob& k : model::knob_table()) {
+    if (k.role != model::KnobRole::kNeutral) continue;
+    rows.push_back(&k);
+    values.push_back(k.candidates(base, hw_threads));
   }
-
-  std::vector<fsbm::SedDispatch> seds;
-  {
-    fsbm::SedDispatch sd;
-    seds.push_back(sd);  // column oracle
-    for (const int n : {8, 32}) {
-      sd.kind = fsbm::SedDispatch::Kind::kBlock;
-      sd.block = n;
-      seds.push_back(sd);
-    }
-  }
-
-  std::vector<mem::ResidencyMode> reses{mem::ResidencyMode::kStep};
-  if (offloaded) reses.push_back(mem::ResidencyMode::kPersist);
-
-  std::vector<dyn::HaloMode> halos{dyn::HaloMode::kSync};
-  if (multi_rank) halos.push_back(dyn::HaloMode::kOverlap);
-
-  std::vector<exec::FuseMode> fuses{exec::FuseMode::kOff};
-  if (offloaded) fuses.push_back(exec::FuseMode::kAuto);
 
   SearchSpace space;
   // The untuned point always leads: a tuner that prunes everything
   // still has a measured baseline, and the winner can only displace it
   // by out-measuring it.
-  space.points.push_back(KnobSet::of(base));
-  for (const auto& e : execs) {
-    for (const auto& h : halos) {
-      for (const auto& sd : seds) {
-        for (const auto& r : reses) {
-          for (const auto& f : fuses) {
-            KnobSet k;
-            k.exec = e;
-            k.halo = h;
-            k.sed = sd;
-            k.res = r;
-            k.fuse = f;
-            if (!space.contains(k)) space.points.push_back(k);
-          }
-        }
-      }
+  space.points.push_back(model::knob_string(base));
+  std::vector<std::size_t> at(rows.size(), 0);
+  for (std::size_t d = rows.size(); d > 0;) {
+    std::string point;
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      if (r > 0) point += ' ';
+      point += rows[r]->key;
+      point += '=';
+      point += values[r][at[r]];
+    }
+    if (!space.contains(point)) space.points.push_back(std::move(point));
+    // Odometer step, last row fastest; d reaches 0 after the last point.
+    for (d = rows.size(); d > 0 && ++at[d - 1] == values[d - 1].size(); --d) {
+      at[d - 1] = 0;
     }
   }
   return space;
 }
 
-bool SearchSpace::contains(const KnobSet& k) const noexcept {
-  return std::find(points.begin(), points.end(), k) != points.end();
+bool SearchSpace::contains(const std::string& knobs) const noexcept {
+  return std::find(points.begin(), points.end(), knobs) != points.end();
 }
 
 }  // namespace wrf::tune

@@ -1,63 +1,36 @@
 #pragma once
 // The tunable knob subset and the legal search space over it.
 //
-// A KnobSet is the slice of model::RunConfig the tuner may touch: the
-// five performance-neutral knobs (exec/halo/sed/res/fuse, including
-// their numeric sub-dimensions threads:N / hetero:N / block:N).  Every
-// one of them is covered by a bitwise-equivalence gate elsewhere in the
-// tree (tests/test_exec.cpp, test_halo_overlap.cpp,
-// test_fsbm_properties.cpp, test_fusion.cpp), which is precisely what
-// makes them tunable: swapping them changes speed, never physics.
-// Physics selections — version, phys, grid, dt, nkr — are deliberately
-// NOT dimensions; they are part of the shape_key a tuned entry is
-// filed under.
+// The tuner's knobs are the performance-neutral rows of the knob table
+// (model/knobs.hpp): exec/halo/sed/res/fuse, including their numeric
+// sub-dimensions threads:N / hetero:N / block:N.  Every one of them is
+// covered by a bitwise-equivalence gate elsewhere in the tree
+// (tests/test_exec.cpp, test_halo_overlap.cpp, test_fsbm_properties.cpp,
+// test_fusion.cpp), which is precisely what makes them tunable:
+// swapping them changes speed, never physics.  Physics selections —
+// version, phys, grid, dt, nkr — are deliberately NOT dimensions; they
+// are part of the shape_key a tuned entry is filed under.
 //
-// The describe() <-> parse() round trip on KnobSet is the loadability
-// contract of tuned.json artifacts (tests/test_tune.cpp): whatever a
-// tuner run renders, a later run must re-parse to the identical knobs.
+// A configuration point is its canonical knob string
+// (model::knob_string), the same string a tuned.json entry stores.
 
 #include <string>
 #include <vector>
 
-#include "model/config.hpp"
+#include "model/knobs.hpp"
 
 namespace wrf::tune {
-
-/// The performance-neutral knobs of one configuration point.
-struct KnobSet {
-  exec::ExecConfig exec;
-  dyn::HaloMode halo = dyn::HaloMode::kSync;
-  fsbm::SedDispatch sed;
-  mem::ResidencyMode res = mem::ResidencyMode::kStep;
-  exec::FuseMode fuse = exec::FuseMode::kOff;
-
-  /// Extract the tunable slice of a config.
-  static KnobSet of(const model::RunConfig& cfg);
-
-  /// Write this slice back onto a config (nothing else is touched).
-  void apply_to(model::RunConfig& cfg) const;
-
-  /// Render as the knob-string syntax the artifact stores:
-  ///   "exec=threads:4 halo=sync sed=block:8 res=persist fuse=auto"
-  std::string describe() const;
-
-  /// Parse a knob string: whitespace-separated key=value tokens, keys
-  /// from {exec, halo, sed, res, fuse}, each at most once; values go
-  /// through the knobs' own parsers.  Missing keys keep defaults.
-  /// Throws ConfigError on unknown keys, duplicates, or bad values.
-  static KnobSet parse(const std::string& s);
-
-  bool operator==(const KnobSet& o) const noexcept;
-};
 
 /// What a tuned entry is keyed by: everything that defines the workload
 /// but none of the tunable knobs.  Two configs with equal shape keys
 /// want the same winner on the same machine.
 std::string shape_key(const model::RunConfig& cfg);
 
-/// The legal knob grid for one base config on one machine, enumerated
-/// with the validity constraints applied up front instead of filtered
-/// out later:
+/// The legal knob grid for one base config on one machine: the
+/// cartesian product of every neutral row's candidate values
+/// (model::Knob::candidates), first row outermost.  The validity
+/// constraints live in the candidates, applied up front instead of
+/// filtered out later:
 ///   - exec=device / exec=hetero:N, res=persist, and fuse=auto only
 ///     appear for offloaded versions (they are inert or pure overhead
 ///     for the host-only chain);
@@ -66,15 +39,15 @@ std::string shape_key(const model::RunConfig& cfg);
 ///   - thread counts are derived from the machine's hardware
 ///     concurrency (plus an oversubscribed point — on a busy host the
 ///     measured rung, not the enumeration, decides).
-/// The base config's own KnobSet is always point [0], so the tuner can
-/// never return something worse than "untuned" without having measured
-/// it.
+/// The base config's own knob string is always point [0], so the tuner
+/// can never return something worse than "untuned" without having
+/// measured it.
 struct SearchSpace {
-  std::vector<KnobSet> points;
+  std::vector<std::string> points;  ///< canonical knob strings, unique
 
   static SearchSpace enumerate(const model::RunConfig& base, int hw_threads);
 
-  bool contains(const KnobSet& k) const noexcept;
+  bool contains(const std::string& knobs) const noexcept;
 };
 
 }  // namespace wrf::tune

@@ -1,17 +1,15 @@
 #include "tune/tune.hpp"
 
+#include <algorithm>
+
 #include "util/error.hpp"
 
 namespace wrf::tune {
 
-const char* tune_mode_name(TuneMode m) noexcept {
-  switch (m) {
-    case TuneMode::kOff: return "off";
-    case TuneMode::kAuto: return "auto";
-    case TuneMode::kFile: return "file";
-  }
-  return "?";
-}
+namespace {
+/// The tune= mode names, indexed by TuneMode.
+constexpr const char* kTuneModes[] = {"off", "auto", "file"};
+}  // namespace
 
 std::string TuneSpec::artifact_path() const {
   switch (mode) {
@@ -24,38 +22,28 @@ std::string TuneSpec::artifact_path() const {
 
 TuneSpec TuneSpec::parse(const std::string& s) {
   TuneSpec spec;
-  if (s == "off") return spec;
-  if (s == "auto") {
-    spec.mode = TuneMode::kAuto;
-    return spec;
+  const std::size_t colon = s.find(':');
+  const auto* m = std::find(std::begin(kTuneModes), std::end(kTuneModes),
+                            s.substr(0, colon));
+  if (m == std::end(kTuneModes)) {
+    throw ConfigError("TuneSpec: unknown tune mode '" + s +
+                      "' (want off | auto | file:<path>)");
   }
-  const std::string file_prefix = "file:";
-  if (s.rfind(file_prefix, 0) == 0) {
-    spec.mode = TuneMode::kFile;
-    spec.path = s.substr(file_prefix.size());
-    if (spec.path.empty()) {
-      throw ConfigError("TuneSpec: empty path in tune='" + s + "'");
-    }
-    return spec;
+  spec.mode = static_cast<TuneMode>(m - std::begin(kTuneModes));
+  if (colon != std::string::npos) spec.path = s.substr(colon + 1);
+  // file: and only file: carries a path, and it must be non-empty.
+  if (spec.mode == TuneMode::kFile ? spec.path.empty()
+                                   : colon != std::string::npos) {
+    throw ConfigError("TuneSpec: tune='" + s +
+                      "' (want off | auto | file:<path>)");
   }
-  throw ConfigError("TuneSpec: unknown tune mode '" + s +
-                    "' (want off | auto | file:<path>)");
+  return spec;
 }
 
 std::string TuneSpec::describe() const {
-  if (mode == TuneMode::kFile) return "file:" + path;
-  return tune_mode_name(mode);
-}
-
-TuneSpec tune_from_args(int argc, char** argv) {
-  const std::string prefix = "tune=";
-  for (int a = 1; a < argc; ++a) {
-    const std::string s = argv[a];
-    if (s.rfind(prefix, 0) == 0) {
-      return TuneSpec::parse(s.substr(prefix.size()));
-    }
-  }
-  return TuneSpec{};
+  std::string out = kTuneModes[static_cast<int>(mode)];
+  if (mode == TuneMode::kFile) out += ":" + path;
+  return out;
 }
 
 }  // namespace wrf::tune

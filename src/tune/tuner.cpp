@@ -34,9 +34,9 @@ model::RunResult timed_run(const model::RunConfig& cfg) {
 /// The measurement config for one knob point: base with the knobs
 /// applied, `steps` steps, observability and tuning forced off.
 model::RunConfig measured_config(const model::RunConfig& base,
-                                 const KnobSet& k, int steps) {
+                                 const std::string& knobs, int steps) {
   model::RunConfig cfg = base;
-  k.apply_to(cfg);
+  model::apply_knob_string(cfg, knobs);
   cfg.nsteps = std::max(steps, 1);
   cfg.obs = obs::ObsConfig{};
   cfg.tune = TuneSpec{};
@@ -117,9 +117,10 @@ TuneReport Tuner::tune(const model::RunConfig& base) const {
   const perfmodel::NetworkSpec net = perfmodel::NetworkSpec::slingshot();
   std::vector<double> prior_s(space.points.size(), 0.0);
   for (std::size_t i = 0; i < space.points.size(); ++i) {
-    const KnobSet& k = space.points[i];
+    model::RunConfig k = report.base;
+    model::apply_knob_string(k, space.points[i]);
     prior_s[i] = perfmodel::knob_prior_step_seconds(
-        report.work, k.exec, k.halo, k.sed, k.res, k.fuse, cpu, net,
+        report.work, k.exec, k.halo_mode, k.sed, k.res, k.fuse, cpu, net,
         report.base.device_spec, hw);
   }
   std::vector<std::size_t> order(space.points.size());
@@ -139,7 +140,7 @@ TuneReport Tuner::tune(const model::RunConfig& base) const {
   report.measured_points = static_cast<int>(alive.size());
 
   // Corrector: successive halving over the rung ladder.
-  const std::string base_knobs = KnobSet::of(report.base).describe();
+  const std::string base_knobs = model::knob_string(report.base);
   double baseline_cellsteps = 0.0;
   const double domain_cells =
       static_cast<double>(report.base.nx) * report.base.ny * report.base.nz;
@@ -166,7 +167,7 @@ TuneReport Tuner::tune(const model::RunConfig& base) const {
       report.measured_runs += wall.reps;
 
       RungPoint pt;
-      pt.knobs = space.points[i].describe();
+      pt.knobs = space.points[i];
       pt.wall = wall;
       pt.cellsteps_per_s =
           wall.min > 0 ? domain_cells * steps / wall.min : 0.0;
@@ -207,7 +208,7 @@ TuneReport Tuner::tune(const model::RunConfig& base) const {
     }
   }
   report.entry.shape = shape_key(report.base);
-  report.entry.knobs = space.points[winner_idx].describe();
+  report.entry.knobs = space.points[winner_idx];
   report.entry.steps = deciding.steps;
   if (winner_pt != nullptr) {
     report.entry.wall = winner_pt->wall;
@@ -216,7 +217,7 @@ TuneReport Tuner::tune(const model::RunConfig& base) const {
   report.entry.baseline_cellsteps_per_s = baseline_cellsteps;
 
   report.winner = report.base;
-  space.points[winner_idx].apply_to(report.winner);
+  model::apply_knob_string(report.winner, space.points[winner_idx]);
 
   report.artifact.machine =
       local_fingerprint(report.base.device_spec.name);

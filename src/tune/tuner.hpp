@@ -27,7 +27,7 @@
 //
 // Measurement runs force obs=off and tune=off (no recursion, no
 // exporter overhead); physics is untouched by construction — only
-// KnobSet dimensions are ever varied.
+// knob-string dimensions (the neutral knob-table rows) are ever varied.
 
 #include "model/driver.hpp"
 #include "perfmodel/knobprior.hpp"

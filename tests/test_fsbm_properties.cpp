@@ -532,7 +532,7 @@ TEST(FsbmProperties, SeedDeterminismUnderHeteroDispatch) {
   // reaches above the 223.15 K coal gate so the split is two-sided.
   for (const mem::ResidencyMode res :
        {mem::ResidencyMode::kStep, mem::ResidencyMode::kPersist}) {
-    SCOPED_TRACE(mem::residency_name(res));
+    SCOPED_TRACE(model::knob_name(res));
     model::RunConfig cfg;
     cfg.nx = 12;
     cfg.ny = 10;
@@ -569,7 +569,7 @@ TEST(FsbmProperties, SeedDeterminismUnderResidencyModes) {
   int n = 0;
   for (const mem::ResidencyMode res :
        {mem::ResidencyMode::kStep, mem::ResidencyMode::kPersist}) {
-    SCOPED_TRACE(mem::residency_name(res));
+    SCOPED_TRACE(model::knob_name(res));
     model::RunConfig cfg;
     cfg.nx = 16;
     cfg.ny = 12;

@@ -99,7 +99,7 @@ TEST(Fusion, AutoBitwiseMatchesOffAcrossTheMatrix) {
       for (const exec::ExecConfig& e : {dev, het2}) {
         const std::string label =
             std::string(fsbm::version_name(v)) + "/res=" +
-            mem::residency_name(res) + "/exec=" + e.describe();
+            model::knob_name(res) + "/exec=" + e.describe();
         const auto off = run(
             fusion_case(v, exec::FuseMode::kOff, res, e));
         const auto fused = run(
@@ -864,8 +864,8 @@ TEST(Fusion, GoldenTransferAndLaunchLedger) {
             const std::string label =
                 std::string(fsbm::version_name(v)) +
                 "/cond=" + (cond ? "on" : "off") +
-                "/fuse=" + exec::fuse_name(fuse) +
-                "/res=" + mem::residency_name(res) +
+                "/fuse=" + model::knob_name(fuse) +
+                "/res=" + model::knob_name(res) +
                 "/exec=" + e.describe();
             SCOPED_TRACE(label);
             const Measured m = measure(label, cfg);

@@ -46,20 +46,6 @@ TEST(ObsConfig, ParseModesAndPaths) {
   EXPECT_TRUE(tp.trace());
   EXPECT_EQ(tp.export_path(), "runs/a.json");
   EXPECT_EQ(tp.describe(), "trace:runs/a.json");
-
-  EXPECT_THROW(obs::ObsConfig::parse(""), ConfigError);
-  EXPECT_THROW(obs::ObsConfig::parse("tracing"), ConfigError);
-  EXPECT_THROW(obs::ObsConfig::parse("off:x.json"), ConfigError);
-  EXPECT_THROW(obs::ObsConfig::parse("trace:"), ConfigError);
-}
-
-TEST(ObsConfig, FromArgsDefaultsOff) {
-  const char* argv1[] = {"prog"};
-  EXPECT_TRUE(obs::obs_from_args(1, const_cast<char**>(argv1)).off());
-  const char* argv2[] = {"prog", "exec=serial", "obs=trace:t.json"};
-  const obs::ObsConfig cfg = obs::obs_from_args(3, const_cast<char**>(argv2));
-  EXPECT_TRUE(cfg.trace());
-  EXPECT_EQ(cfg.path, "t.json");
 }
 
 // ------------------------------------------------------------- registry
@@ -383,7 +369,7 @@ TEST(ObsReconcile, TransferTotalsAgreeAcrossExecAndResidency) {
   for (const char* exec : {"serial", "threads:2", "device", "hetero:2"}) {
     for (const mem::ResidencyMode res :
          {mem::ResidencyMode::kStep, mem::ResidencyMode::kPersist}) {
-      SCOPED_TRACE(std::string(exec) + "/" + mem::residency_name(res));
+      SCOPED_TRACE(std::string(exec) + "/" + model::knob_name(res));
       const model::RunConfig cfg = gate_case(exec, res);
       const grid::Patch patch =
           grid::decompose(cfg.domain(), 1, 1, cfg.halo)[0];

@@ -534,7 +534,7 @@ TEST(SvcScheduler, JobsAreBitwiseIdenticalToStandaloneRuns) {
                                 /*seed=*/jobs.size() + 1);
       job.config.exec = exec::ExecConfig::parse(e);
       job.cls = svc::JobClass::kEnsemble;
-      job.name = std::string(e) + "/" + mem::residency_name(res);
+      job.name = std::string(e) + "/" + model::knob_name(res);
       jobs.push_back(job);
     }
   }

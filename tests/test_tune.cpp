@@ -1,7 +1,7 @@
-// Autotuner guarantees (src/tune): the tune= knob grammar, the knob
-// round-trip contract behind tuned.json loadability, search-space
+// Autotuner guarantees (src/tune): the tune= spec, search-space
 // legality, artifact schema strictness, and the two hard gates the
-// subsystem is built around —
+// subsystem is built around (the knob-string grammar and its round trip
+// are tests/test_knobs.cpp's) —
 //
 //  * applying a tuned entry is bitwise identical (state hash + physics
 //    stats) to setting the same knobs explicitly: tuning changes speed,
@@ -62,92 +62,6 @@ TEST(TuneSpec, ParseModes) {
   EXPECT_EQ(f.describe(), "file:runs/t.json");
 }
 
-TEST(TuneSpec, ParseRejectsMalformed) {
-  EXPECT_THROW(tune::TuneSpec::parse(""), ConfigError);
-  EXPECT_THROW(tune::TuneSpec::parse("file"), ConfigError);
-  EXPECT_THROW(tune::TuneSpec::parse("file:"), ConfigError);
-  EXPECT_THROW(tune::TuneSpec::parse("bogus"), ConfigError);
-  EXPECT_THROW(tune::TuneSpec::parse("auto:tuned.json"), ConfigError);
-  EXPECT_THROW(tune::TuneSpec::parse("off:tuned.json"), ConfigError);
-}
-
-TEST(TuneSpec, FromArgsDefaultsOff) {
-  const char* argv1[] = {"prog"};
-  EXPECT_TRUE(tune::tune_from_args(1, const_cast<char**>(argv1)).off());
-  const char* argv2[] = {"prog", "exec=serial", "tune=file:x.json"};
-  const tune::TuneSpec s = tune::tune_from_args(3, const_cast<char**>(argv2));
-  EXPECT_EQ(s.mode, tune::TuneMode::kFile);
-  EXPECT_EQ(s.path, "x.json");
-}
-
-// -------------------------------------------------- knob string round trip
-
-TEST(TuneKnobs, DescribeParseIdentityAcrossTheMatrix) {
-  // Every combination a tuner could emit must survive describe() ->
-  // parse() -> describe() unchanged: this is the loadability contract
-  // of tuned.json artifacts.
-  std::vector<exec::ExecConfig> execs;
-  execs.push_back(exec::ExecConfig::parse("serial"));
-  execs.push_back(exec::ExecConfig::parse("threads:2"));
-  execs.push_back(exec::ExecConfig::parse("device"));
-  execs.push_back(exec::ExecConfig::parse("hetero:3"));
-  const std::vector<std::string> seds = {"column", "block:8", "block:32"};
-  for (const auto& e : execs) {
-    for (const char* halo : {"sync", "overlap"}) {
-      for (const std::string& sd : seds) {
-        for (const char* res : {"step", "persist"}) {
-          for (const char* fuse : {"off", "auto"}) {
-            tune::KnobSet k;
-            k.exec = e;
-            k.halo = dyn::parse_halo_mode(halo);
-            k.sed = fsbm::SedDispatch::parse(sd);
-            k.res = mem::parse_residency(res);
-            k.fuse = exec::parse_fuse(fuse);
-            const std::string s = k.describe();
-            const tune::KnobSet back = tune::KnobSet::parse(s);
-            EXPECT_EQ(back.describe(), s);
-            EXPECT_TRUE(back == k) << s;
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(TuneKnobs, ApplyToChangesOnlyTheTunableSlice) {
-  model::RunConfig cfg = tiny_case(fsbm::Version::kV2Offload2);
-  cfg.phys = fsbm::PhysScheme::kHybrid;
-  const std::string shape_before = tune::shape_key(cfg);
-  const tune::KnobSet k =
-      tune::KnobSet::parse("exec=device halo=sync sed=block:16 res=persist "
-                           "fuse=auto");
-  k.apply_to(cfg);
-  EXPECT_EQ(cfg.exec.kind, exec::ExecKind::kDevice);
-  EXPECT_EQ(cfg.sed.kind, fsbm::SedDispatch::Kind::kBlock);
-  EXPECT_EQ(cfg.sed.block, 16);
-  EXPECT_EQ(cfg.res, mem::ResidencyMode::kPersist);
-  EXPECT_EQ(cfg.fuse, exec::FuseMode::kAuto);
-  // Physics and shape are untouched by construction.
-  EXPECT_EQ(cfg.phys, fsbm::PhysScheme::kHybrid);
-  EXPECT_EQ(tune::shape_key(cfg), shape_before);
-  EXPECT_TRUE(tune::KnobSet::of(cfg) == k);
-}
-
-TEST(TuneKnobs, ParseRejectsUnknownDuplicateAndBadValues) {
-  EXPECT_THROW(tune::KnobSet::parse("exec=serial phys=bulk"), ConfigError);
-  EXPECT_THROW(tune::KnobSet::parse("exec=serial exec=device"), ConfigError);
-  EXPECT_THROW(tune::KnobSet::parse("exec=warp9"), ConfigError);
-  EXPECT_THROW(tune::KnobSet::parse("sed=block:"), ConfigError);
-  EXPECT_THROW(tune::KnobSet::parse("plainword"), ConfigError);
-}
-
-TEST(TuneKnobs, RunConfigDescribeShowsTuneOnlyWhenSet) {
-  model::RunConfig cfg = tiny_case();
-  EXPECT_EQ(cfg.describe().find("tune="), std::string::npos);
-  cfg.tune = tune::TuneSpec::parse("file:t.json");
-  EXPECT_NE(cfg.describe().find("tune=file:t.json"), std::string::npos);
-}
-
 // ------------------------------------------------------------ search space
 
 TEST(TuneSpace, ShapeKeySeparatesPhysicsFromKnobs) {
@@ -171,13 +85,13 @@ TEST(TuneSpace, EnumerationRespectsValidityConstraints) {
   const tune::SearchSpace hs = tune::SearchSpace::enumerate(host, 4);
   ASSERT_FALSE(hs.points.empty());
   // Base knobs lead, every point is unique and validates when applied.
-  EXPECT_TRUE(hs.points[0] == tune::KnobSet::of(host));
+  EXPECT_EQ(hs.points[0], model::knob_string(host));
   for (std::size_t i = 0; i < hs.points.size(); ++i) {
     for (std::size_t j = i + 1; j < hs.points.size(); ++j) {
-      EXPECT_FALSE(hs.points[i] == hs.points[j]);
+      EXPECT_NE(hs.points[i], hs.points[j]);
     }
     model::RunConfig cfg = host;
-    hs.points[i].apply_to(cfg);
+    model::apply_knob_string(cfg, hs.points[i]);
     EXPECT_NO_THROW(cfg.validate());
     // Host-only chain: no device/hetero exec, no persist, no fusion,
     // and single-rank: no halo overlap.
@@ -191,7 +105,9 @@ TEST(TuneSpace, EnumerationRespectsValidityConstraints) {
   model::RunConfig dev = tiny_case(fsbm::Version::kV3Offload3);
   const tune::SearchSpace ds = tune::SearchSpace::enumerate(dev, 4);
   bool saw_device = false, saw_persist = false, saw_fuse = false;
-  for (const tune::KnobSet& k : ds.points) {
+  for (const std::string& point : ds.points) {
+    model::RunConfig k = dev;
+    model::apply_knob_string(k, point);
     saw_device |= k.exec.kind == exec::ExecKind::kDevice;
     saw_persist |= k.res == mem::ResidencyMode::kPersist;
     saw_fuse |= k.fuse == exec::FuseMode::kAuto;
@@ -205,9 +121,11 @@ TEST(TuneSpace, EnumerationRespectsValidityConstraints) {
   multi.nx = 32;
   multi.npx = 2;
   bool saw_overlap = false;
-  for (const tune::KnobSet& k :
+  for (const std::string& point :
        tune::SearchSpace::enumerate(multi, 4).points) {
-    saw_overlap |= k.halo == dyn::HaloMode::kOverlap;
+    model::RunConfig k = multi;
+    model::apply_knob_string(k, point);
+    saw_overlap |= k.halo_mode == dyn::HaloMode::kOverlap;
   }
   EXPECT_TRUE(saw_overlap);
 }
@@ -355,7 +273,7 @@ TEST(TuneGate, FileLoadedConfigIsBitwiseIdenticalToExplicitKnobs) {
   model::RunConfig via_file = base;
   via_file.tune = tune::TuneSpec::parse("file:" + path);
   model::RunConfig explicit_cfg = base;
-  tune::KnobSet::parse(knobs).apply_to(explicit_cfg);
+  model::apply_knob_string(explicit_cfg, knobs);
 
   prof::Profiler p1, p2;
   const model::RunResult a = model::run_single(via_file, p1);
@@ -406,7 +324,7 @@ TEST(TuneTuner, SuccessiveHalvingProducesAValidWinner) {
   EXPECT_EQ(survivors, 1);
   // The winner parses, applies, and validates.
   model::RunConfig tuned = base;
-  tune::KnobSet::parse(rep.entry.knobs).apply_to(tuned);
+  model::apply_knob_string(tuned, rep.entry.knobs);
   EXPECT_NO_THROW(tuned.validate());
   // The untuned baseline was measured (base point always advances).
   EXPECT_GT(rep.entry.baseline_cellsteps_per_s, 0.0);
@@ -470,7 +388,7 @@ TEST(TuneSvc, SchedulerAppliesTunedKnobsAtSubmit) {
   // The recorded config carries the tuned knobs explicitly, tune=off:
   // re-running it standalone needs no artifact...
   EXPECT_TRUE(r.config.tune.off());
-  EXPECT_TRUE(tune::KnobSet::of(r.config) == tune::KnobSet::parse(knobs));
+  EXPECT_EQ(model::knob_string(r.config), knobs);
   // ...and reproduces the job bit for bit (the svc determinism gate,
   // now across the tuning path).
   prof::Profiler p;
