@@ -12,11 +12,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "model/driver.hpp"
 #include "perfmodel/scaling.hpp"
 #include "tune/measure.hpp"
+#include "util/count.hpp"
 
 namespace wrf::bench {
 
@@ -45,38 +47,62 @@ inline void print_config_header(const char* what) {
   std::printf("================================================================\n\n");
 }
 
-/// The grid benches' command line, read by model::parse_args:
-/// "[nx ny nz nsteps] [--benchmark_format=json]", the four counts all
-/// or none, no knob.  A bad command line prints the error and exits 2.
+/// The benches' command-line contract: `read` parses argv (through
+/// args()); a ConfigError it throws is printed with `usage` and the
+/// bench exits 2.
+template <class Read>
+auto read_args(const char* prog, const char* usage, const Read& read) {
+  try {
+    return read();
+  } catch (const ConfigError& e) {
+    std::fprintf(stderr, "%s: %s\nusage: %s %s\n", prog, e.what(), prog,
+                 usage);
+    std::exit(2);
+  }
+}
+
+/// A bench command line through model::parse_args: no knob rows, the
+/// caller's `owned` keys plus `--benchmark_format`, and up to
+/// `max_counts` positional counts.
+inline model::CommandLine args(int argc, char** argv,
+                               std::vector<std::string_view> owned,
+                               std::size_t max_counts) {
+  model::RunConfig unused;
+  owned.push_back("--benchmark_format");
+  return model::parse_args(
+      unused, argc, argv,
+      {.owned = owned, .rows = {}, .max_counts = max_counts});
+}
+
+/// Whether the command line asked for `--benchmark_format=json`, the
+/// only format there is.
+inline bool json_format(const model::CommandLine& cl) {
+  const auto fmt = cl.owned.find("--benchmark_format");
+  if (fmt != cl.owned.end() && fmt->second != "json") {
+    throw ConfigError("'--benchmark_format=" + fmt->second + "': want json");
+  }
+  return fmt != cl.owned.end();
+}
+
+/// The grid benches' command line: "[nx ny nz nsteps]
+/// [--benchmark_format=json]", the four counts all or none.
 struct GridArgs {
   int nx, ny, nz, nsteps;
   bool json = false;
 };
+inline GridArgs grid_from(const model::CommandLine& cl, GridArgs grid) {
+  if (cl.counts.size() == 4) {
+    grid = {cl.counts[0], cl.counts[1], cl.counts[2], cl.counts[3]};
+  } else if (!cl.counts.empty()) {
+    throw ConfigError("want all four of nx ny nz nsteps");
+  }
+  grid.json = json_format(cl);
+  return grid;
+}
 inline GridArgs grid_args(int argc, char** argv, const char* prog,
                           GridArgs grid) {
-  try {
-    model::RunConfig unused;
-    const model::CommandLine cl = model::parse_args(
-        unused, argc, argv,
-        {.owned = {"--benchmark_format"}, .rows = {}, .max_counts = 4});
-    if (cl.counts.size() == 4) {
-      grid = {cl.counts[0], cl.counts[1], cl.counts[2], cl.counts[3]};
-    } else if (!cl.counts.empty()) {
-      throw ConfigError("want all four of nx ny nz nsteps");
-    }
-    const auto fmt = cl.owned.find("--benchmark_format");
-    if (fmt != cl.owned.end() && fmt->second != "json") {
-      throw ConfigError("'--benchmark_format=" + fmt->second + "': want json");
-    }
-    grid.json = fmt != cl.owned.end();
-  } catch (const ConfigError& e) {
-    std::fprintf(stderr,
-                 "%s: %s\nusage: %s [nx ny nz nsteps] "
-                 "[--benchmark_format=json]\n",
-                 prog, e.what(), prog);
-    std::exit(2);
-  }
-  return grid;
+  return read_args(prog, "[nx ny nz nsteps] [--benchmark_format=json]",
+                   [&] { return grid_from(args(argc, argv, {}, 4), grid); });
 }
 
 /// The scaled-down CONUS case used for functional measurements.

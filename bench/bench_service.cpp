@@ -29,8 +29,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -234,18 +232,16 @@ void print_json(const std::vector<SweepAgg>& sweeps, int jobs_per_class,
 int main(int argc, char** argv) {
   int jobs_per_class = 8;
   int reps = 3;
-  bool json = false;
-  for (int a = 1; a < argc; ++a) {
-    if (std::strcmp(argv[a], "--benchmark_format=json") == 0) {
-      json = true;
-    } else if (std::strncmp(argv[a], "reps=", 5) == 0) {
-      reps = std::atoi(argv[a] + 5);
-    } else if (std::strchr(argv[a], '=') == nullptr) {
-      jobs_per_class = std::atoi(argv[a]);
-    }
-  }
-  if (jobs_per_class < 2) jobs_per_class = 2;
-  if (reps < 1) reps = 1;
+  const bool json = bench::read_args(
+      "bench_service", "[jobs_per_class] [reps=N] [--benchmark_format=json]",
+      [&] {
+        const model::CommandLine cl = bench::args(argc, argv, {"reps"}, 1);
+        if (!cl.counts.empty()) jobs_per_class = cl.counts[0];
+        const auto r = cl.owned.find("reps");
+        if (r != cl.owned.end()) reps = parse_count(r->second, "reps");
+        return bench::json_format(cl);
+      });
+  jobs_per_class = std::max(jobs_per_class, 2);
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
 
   std::vector<SweepAgg> sweeps;

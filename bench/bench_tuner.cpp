@@ -16,17 +16,18 @@
 //   3. the tune=file: run is bitwise identical (model::state_hash) to
 //      the same knobs set explicitly — tuning may never change physics.
 //
-// Usage: bench_tuner [nx ny nz nsteps] [version=v1|v2|v3|v3naive]
+// Usage: bench_tuner [nx ny nz nsteps] [version=v0|v1|v2|v3|v3naive]
 //                    [artifact=<path>] [keep=N] [target_cv=X]
 //                    [--benchmark_format=json]
 //   default: the 107x75x50 CONUS rank patch, v3, 2 comparison steps,
 //   artifact written to ./tuned.json.  scripts/bench_json.sh distills
 //   BENCH_tuner.json from the JSON mode.
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -57,6 +58,32 @@ Side measure_side(const char* name, const model::RunConfig& cfg,
                       static_cast<double>(cfg.nsteps) / s.wall.min;
   s.hash = model::state_hash(last);
   return s;
+}
+
+/// version=: the bench's own spellings, shorter than fsbm::version_name.
+fsbm::Version parse_version(const std::string& v) {
+  static const std::pair<const char*, fsbm::Version> kNames[] = {
+      {"v0", fsbm::Version::kV0Baseline},
+      {"v1", fsbm::Version::kV1LookupOnDemand},
+      {"v2", fsbm::Version::kV2Offload2},
+      {"v3", fsbm::Version::kV3Offload3},
+      {"v3naive", fsbm::Version::kV3NaiveCollapse3}};
+  for (const auto& [name, version] : kNames) {
+    if (v == name) return version;
+  }
+  throw ConfigError("version: '" + v + "' (want v0|v1|v2|v3|v3naive)");
+}
+
+/// target_cv=: a positive decimal, the whole token.
+double parse_cv(const std::string& v) {
+  double cv = 0.0;
+  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), cv);
+  if (ec != std::errc() || end != v.data() + v.size() || !(cv > 0.0) ||
+      !std::isfinite(cv)) {
+    throw ConfigError("target_cv: '" + v +
+                      "' is not a positive decimal (e.g. 0.1)");
+  }
+  return cv;
 }
 
 void print_json(const tune::TuneReport& rep, const Side& untuned,
@@ -104,61 +131,36 @@ void print_json(const tune::TuneReport& rep, const Side& untuned,
 }  // namespace
 
 int main(int argc, char** argv) {
-  int nx = 107, ny = 75, nz = 50, compare_steps = 2;
   std::string artifact_path = "tuned.json";
   fsbm::Version version = fsbm::Version::kV3Offload3;
-  bool json = false;
   tune::TunerOptions opts;
   opts.prior_keep = 10;
   opts.policy.max_reps = 8;
-
-  int npos = 0;
-  int pos[4] = {0, 0, 0, 0};
-  for (int a = 1; a < argc; ++a) {
-    const char* arg = argv[a];
-    if (std::strcmp(arg, "--benchmark_format=json") == 0) {
-      json = true;
-    } else if (std::strncmp(arg, "artifact=", 9) == 0) {
-      artifact_path = arg + 9;
-    } else if (std::strncmp(arg, "keep=", 5) == 0) {
-      opts.prior_keep = std::atoi(arg + 5);
-    } else if (std::strncmp(arg, "target_cv=", 10) == 0) {
-      opts.policy.target_cv = std::atof(arg + 10);
-    } else if (std::strncmp(arg, "version=", 8) == 0) {
-      const char* v = arg + 8;
-      if (std::strcmp(v, "v0") == 0) version = fsbm::Version::kV0Baseline;
-      else if (std::strcmp(v, "v1") == 0)
-        version = fsbm::Version::kV1LookupOnDemand;
-      else if (std::strcmp(v, "v2") == 0)
-        version = fsbm::Version::kV2Offload2;
-      else if (std::strcmp(v, "v3") == 0)
-        version = fsbm::Version::kV3Offload3;
-      else if (std::strcmp(v, "v3naive") == 0)
-        version = fsbm::Version::kV3NaiveCollapse3;
-      else {
-        std::fprintf(stderr, "bench_tuner: unknown version '%s'\n", v);
-        return 2;
-      }
-    } else if (npos < 4 && std::strchr(arg, '=') == nullptr) {
-      pos[npos++] = std::atoi(arg);
-    }
-  }
-  if (npos == 4 && pos[0] > 0) {
-    nx = pos[0];
-    ny = pos[1];
-    nz = pos[2];
-    compare_steps = pos[3];
-  } else if (npos != 0) {
-    std::fprintf(stderr,
-                 "bench_tuner: want all four of nx ny nz nsteps "
-                 "(got %d positional args)\n", npos);
-    return 2;
-  }
+  const bench::GridArgs grid = bench::read_args(
+      "bench_tuner",
+      "[nx ny nz nsteps] [version=v0|v1|v2|v3|v3naive] [artifact=<path>] "
+      "[keep=N] [target_cv=X] [--benchmark_format=json]",
+      [&] {
+        const model::CommandLine cl = bench::args(
+            argc, argv, {"artifact", "keep", "target_cv", "version"}, 4);
+        for (const auto& [key, value] : cl.owned) {
+          if (key == "artifact" && value.empty()) {
+            throw ConfigError("artifact: want a path");
+          }
+          if (key == "artifact") artifact_path = value;
+          if (key == "keep") opts.prior_keep = parse_count(value, "keep");
+          if (key == "target_cv") opts.policy.target_cv = parse_cv(value);
+          if (key == "version") version = parse_version(value);
+        }
+        return bench::grid_from(cl, {107, 75, 50, 2});
+      });
+  const int compare_steps = grid.nsteps;
+  const bool json = grid.json;
 
   model::RunConfig base = bench::conus_rank_patch(version, compare_steps);
-  base.nx = nx;
-  base.ny = ny;
-  base.nz = nz;
+  base.nx = grid.nx;
+  base.ny = grid.ny;
+  base.nz = grid.nz;
   base.validate();
 
   const tune::Tuner tuner(opts);

@@ -2,14 +2,16 @@
 # Tier-1 verify as CI runs it: configure + build + ctest in a
 # Debug/Release matrix with -Wall -Wextra -Werror, plus a
 # ThreadSanitizer configuration covering the concurrency layers
-# (simpi requests, exec spaces, halo overlap, blocked sedimentation).
+# (simpi requests, exec spaces, halo overlap, blocked sedimentation)
+# and an AddressSanitizer+UBSan configuration over every suite.
 #
 # The Debug+Release matrix deliberately runs the FSBM property suite
 # (test_fsbm_properties) at both optimization levels so FP-contract
 # differences between the column and blocked sedimentation solvers
 # would surface as bitwise-equivalence failures.
 #
-# Usage: scripts/ci.sh [Debug|Release|tsan]     (no argument = Debug+Release)
+# Usage: scripts/ci.sh [Debug|Release|tsan|asan|bench]
+#   (no argument = Debug+Release plus the smokes)
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -60,6 +62,23 @@ run_tsan() {
   TSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir "${build_dir}" --output-on-failure \
       -R '^(test_par|test_exec|test_halo_overlap|test_fsbm_properties|test_svc|test_hybrid|test_obs|test_tune|test_fusion)$'
+}
+
+run_asan() {
+  # AddressSanitizer + UndefinedBehaviorSanitizer over every suite with
+  # LeakSanitizer on: a memory error, UB, or a leak — per-thread state
+  # that outlives its thread or its owner included — fails the run.  No
+  # suppression file; the flags go through the standard CMake variables.
+  local build_dir="build-ci-asan"
+  echo "=== AddressSanitizer + UBSan ==="
+  cmake -B "${build_dir}" -S . \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer" \
+    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
+  cmake --build "${build_dir}" -j "$(nproc)"
+  ASAN_OPTIONS="detect_leaks=1:halt_on_error=1" \
+  UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+    ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)"
 }
 
 run_obs_smoke() {
@@ -149,7 +168,12 @@ run_knob_smoke() {
     || { echo "knob smoke: quickstart exce=device exited ${rc}, want 2"; return 1; }
   grep -q "exce" "${err}" \
     || { echo "knob smoke: stderr does not name 'exce'"; cat "${err}"; return 1; }
-  echo "knob smoke: quickstart exce=device exits 2 naming the token"
+  # The benches' own keys go through the same parser: no atoi/atof zero.
+  rc=0
+  "${build_dir}/bench_tuner" keep=abc > /dev/null 2> "${err}" || rc=$?
+  [ "${rc}" -eq 2 ] && grep -q "abc" "${err}" \
+    || { echo "knob smoke: bench_tuner keep=abc exited ${rc}, want 2 naming 'abc'"; return 1; }
+  echo "knob smoke: quickstart exce=device and bench_tuner keep=abc exit 2 naming the token"
 }
 
 if [ $# -eq 0 ]; then
@@ -161,6 +185,8 @@ if [ $# -eq 0 ]; then
   run_tune_smoke
 elif [ "${1}" = "tsan" ]; then
   run_tsan
+elif [ "${1}" = "asan" ]; then
+  run_asan
 elif [ "${1}" = "bench" ]; then
   run_matrix_config Release
   run_knob_smoke

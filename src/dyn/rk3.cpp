@@ -47,14 +47,11 @@ Rk3Stats Rk3::step(fsbm::MicroState& state, const AnalyticWinds& winds,
   const exec::Range3 comp{patch_.ip, patch_.k, patch_.jp};
   const double stage_dt[3] = {dt_ / 3.0, dt_ / 2.0, dt_};
   for (int stage = 0; stage < 3; ++stage) {
-    // The "halo_exchange" range brackets both phases in both modes (as
-    // a nested child under overlap, so rk_scalar_tend's exclusive time
-    // stays compute-only and comparable across modes).
-    {
-      prof::ScopedRange h(prof, "halo_exchange");
-      halo.begin(state);
-      if (halo_mode_ == HaloMode::kSync) halo.finish(state);
-    }
+    // The halo phases time themselves (RankModel's halo ranges): under
+    // overlap finish() runs as a child of rk_scalar_tend, so that
+    // range's exclusive time stays compute-only.
+    halo.begin(state);
+    if (halo_mode_ == HaloMode::kSync) halo.finish(state);
     {
       prof::ScopedRange r(prof, "rk_scalar_tend");
       if (halo_mode_ == HaloMode::kOverlap) {
@@ -64,10 +61,7 @@ Rk3Stats Rk3::step(fsbm::MicroState& state, const AnalyticWinds& winds,
         // every cell's tendency sees exactly the q values the sync
         // order would have shown it — bitwise-identical results.
         tend_range(comp.interior(kStencilWidth), state, winds, st);
-        {
-          prof::ScopedRange h(prof, "halo_exchange");
-          halo.finish(state);
-        }
+        halo.finish(state);
         for (const auto& piece : comp.shell(kStencilWidth)) {
           tend_range(piece, state, winds, st);
         }

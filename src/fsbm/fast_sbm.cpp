@@ -1001,7 +1001,6 @@ void FastSbm::run_group(const std::vector<std::size_t>& group,
   }
   name = runs.size() == 1 ? node.name : name + "fused";
   prof::ScopedRange cr(prof, name);
-  const auto t0 = Clock::now();
 
   // The group's footprint, derived from the members' declarations:
   //   touched — reads and writes: what a res=step launch maps;
@@ -1169,7 +1168,7 @@ void FastSbm::run_group(const std::vector<std::size_t>& group,
   // A launch reporting under the coal slot (a fused one too: the
   // dominant body) is the collision section of the step.
   if (runs.back()->slot == &FsbmStats::coal_kernel) {
-    st.wall_coal_sec += seconds_since(t0);
+    st.wall_coal_sec += cr.stop();
   }
 }
 
@@ -1426,11 +1425,9 @@ void FastSbm::pass_sedimentation_blocked(MicroState& state, FsbmStats& st,
 }
 
 FsbmStats FastSbm::step(MicroState& state, prof::Profiler& prof) {
-  prof::ScopedRange r(prof, "fast_sbm");
-  OBS_SPAN("fsbm", "fast_sbm",
-           {{"version", version_name(version_)},
-            {"groups", schedule_.groups.size()}});
-  const auto t0 = Clock::now();
+  prof::ScopedRange r(prof, "fast_sbm",
+                      {{"version", version_name(version_)},
+                       {"groups", schedule_.groups.size()}});
   FsbmStats st;
   const std::size_t launches0 =
       device_ != nullptr ? device_->launches().size() : 0;
@@ -1451,7 +1448,7 @@ FsbmStats FastSbm::step(MicroState& state, prof::Profiler& prof) {
     st.launch_latency_ms +=
         static_cast<double>(n) * device_->spec().kernel_launch_us / 1000.0;
   }
-  st.wall_total_sec = seconds_since(t0);
+  st.wall_total_sec = r.stop();
   return st;
 }
 

@@ -129,7 +129,9 @@ struct FsbmStats {
   std::uint64_t sed_tv_lookups = 0;
   std::uint64_t sed_corr_evals = 0;
   double surface_precip = 0.0;
-  /// Host wall seconds of the whole call and of the collision section.
+  /// Host wall seconds of the whole call (the "fast_sbm" range) and of
+  /// the collision section (the coal group's range, or the summed
+  /// per-cell partials of inline coal, reported as coal_bott_new_loop).
   double wall_total_sec = 0.0;
   double wall_coal_sec = 0.0;
   /// Kernel launches issued during the call (offloaded passes plus any

@@ -186,8 +186,9 @@ RankModel::RankModel(const RunConfig& config, const grid::Patch& patch,
 
 void RankModel::init() { init_case_conus(config_, state_); }
 
-void RankModel::halo_begin(fsbm::MicroState& s, StepStats* st) {
-  const auto t0 = Clock::now();
+void RankModel::halo_begin(fsbm::MicroState& s, StepStats* st,
+                           prof::Profiler& prof) {
+  prof::ScopedRange r(prof, "halo_exchange");
   if (ctx_ != nullptr && ctx_->size() > 1) {
     if (&s != &state_) {
       throw Error("RankModel: halo plan is bound to this rank's state");
@@ -204,11 +205,12 @@ void RankModel::halo_begin(fsbm::MicroState& s, StepStats* st) {
     }
     st->halo_bytes += ctx_->stats().bytes_sent - bytes_before;
   }
-  st->halo_wall_sec += seconds_since(t0);
+  st->halo_wall_sec += r.stop();
 }
 
-void RankModel::halo_finish(fsbm::MicroState& s, StepStats* st) {
-  const auto t0 = Clock::now();
+void RankModel::halo_finish(fsbm::MicroState& s, StepStats* st,
+                            prof::Profiler& prof) {
+  prof::ScopedRange r(prof, "halo_exchange");
   if (ctx_ != nullptr && ctx_->size() > 1) {
     // res=persist: finish() only marks the unpacked shell strips
     // host-dirty — the consuming pass's charged update_to pulls them.
@@ -222,7 +224,7 @@ void RankModel::halo_finish(fsbm::MicroState& s, StepStats* st) {
   // space puts them.
   dyn::fill_domain_boundaries(patch_, s.qv);
   for (auto& f : s.ff) dyn::fill_domain_boundaries_bins(patch_, f);
-  st->halo_wall_sec += seconds_since(t0);
+  st->halo_wall_sec += r.stop();
 }
 
 void RankModel::mark_advection_writes(StepStats* st) {
@@ -230,36 +232,38 @@ void RankModel::mark_advection_writes(StepStats* st) {
 }
 
 /// Adapter handing RankModel's phased halo refresh to dyn::Rk3, with the
-/// per-step stats threaded through.  Each round's begin() first marks
-/// the *previous* stage's advection writes (rk3 exchanges halos at the
-/// top of every stage, so the round ships what the last update wrote);
-/// round 0 skips the mark — its halo carries the previous step's state,
-/// whose writers (fsbm passes, the final stage update) already marked.
+/// per-step stats and the profiler threaded through.  Each round's
+/// begin() first marks the *previous* stage's advection writes (rk3
+/// exchanges halos at the top of every stage, so the round ships what the
+/// last update wrote); round 0 skips the mark — its halo carries the
+/// previous step's state, whose writers (fsbm passes, the final stage
+/// update) already marked.
 struct RankHaloPhases final : dyn::HaloPhases {
   RankModel* model;
   StepStats* st;
+  prof::Profiler& prof;
   int round = 0;
-  RankHaloPhases(RankModel* m, StepStats* s) : model(m), st(s) {}
+  RankHaloPhases(RankModel* m, StepStats* s, prof::Profiler& p)
+      : model(m), st(s), prof(p) {}
   void begin(fsbm::MicroState& s) override {
     if (round++ > 0) model->mark_advection_writes(st);
-    model->halo_begin(s, st);
+    model->halo_begin(s, st, prof);
   }
-  void finish(fsbm::MicroState& s) override { model->halo_finish(s, st); }
+  void finish(fsbm::MicroState& s) override {
+    model->halo_finish(s, st, prof);
+  }
 };
 
 StepStats RankModel::step(prof::Profiler& prof) {
   StepStats st;
-  const auto t0 = Clock::now();
-  {
-    prof::ScopedRange r(prof, "solve_interval");
-    RankHaloPhases phases(this, &st);
-    st.dyn = rk3_->step(state_, winds_, phases, prof);
-    mark_advection_writes(&st);  // the final stage's update (no round follows)
-    // merge, not assign: st.fsbm already carries the transport-flush
-    // charges the halo rounds and the mark above deposited.
-    st.fsbm.merge(fsbm_->step(state_, prof));
-  }
-  st.wall_sec = seconds_since(t0);
+  prof::ScopedRange r(prof, "solve_interval");
+  RankHaloPhases phases(this, &st, prof);
+  st.dyn = rk3_->step(state_, winds_, phases, prof);
+  mark_advection_writes(&st);  // the final stage's update (no round follows)
+  // merge, not assign: st.fsbm already carries the transport-flush
+  // charges the halo rounds and the mark above deposited.
+  st.fsbm.merge(fsbm_->step(state_, prof));
+  st.wall_sec = r.stop();
   return st;
 }
 

@@ -25,6 +25,8 @@ namespace wrf::model {
 struct StepStats {
   fsbm::FsbmStats fsbm;
   dyn::Rk3Stats dyn;
+  /// Seconds of the "solve_interval" and "halo_exchange" ranges: summed
+  /// over steps and ranks they equal those flat-profile rows exactly.
   double wall_sec = 0.0;
   double halo_wall_sec = 0.0;
   std::uint64_t halo_bytes = 0;
@@ -70,10 +72,11 @@ class RankModel {
   friend struct RankHaloPhases;  // the dyn::HaloPhases adapter (driver.cpp)
 
   /// Phase 1 of the per-stage halo refresh: pack + post the whole field
-  /// set through the HaloExchange plan (nothing waited on).
-  void halo_begin(fsbm::MicroState& s, StepStats* st);
+  /// set through the HaloExchange plan (nothing waited on).  Each phase
+  /// is one "halo_exchange" range, which `st->halo_wall_sec` sums.
+  void halo_begin(fsbm::MicroState& s, StepStats* st, prof::Profiler& prof);
   /// Phase 2: wait + unpack, then domain-edge boundary fill.
-  void halo_finish(fsbm::MicroState& s, StepStats* st);
+  void halo_finish(fsbm::MicroState& s, StepStats* st, prof::Profiler& prof);
 
   /// res=persist: delegate to FastSbm::mark_transport_writes (an RK3
   /// stage update rewrote qv and every bin field; any read-coherence

@@ -1,7 +1,6 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "util/error.hpp"
 
@@ -52,17 +51,9 @@ namespace {
 std::atomic<std::uint64_t> g_sink_gen{1};
 std::atomic<TraceSink*> g_active{nullptr};
 
-struct TlsEntry {
-  std::uint64_t gen = 0;
-  TraceSink::ThreadBuf* buf = nullptr;
-};
-// Per-thread map from sink instance to its buffer.  Leaked intentionally
-// (like prof::Profiler's TLS): pointer maps avoid destructor-order races
-// between dying threads and live sinks.  Stale entries — a new sink at a
-// recycled address — are detected by the generation stamp.
-thread_local std::unordered_map<const TraceSink*, TlsEntry>* t_bufs = nullptr;
-
 }  // namespace
+
+thread_local TraceSink::LastBuf TraceSink::t_last_;
 
 TraceSink::TraceSink()
     : gen_(g_sink_gen.fetch_add(1, std::memory_order_relaxed)),
@@ -72,27 +63,30 @@ TraceSink::~TraceSink() {
   if (active() == this) set_active(nullptr);
 }
 
-std::uint64_t TraceSink::now_us() const noexcept {
+std::uint64_t TraceSink::now_us(
+    std::chrono::steady_clock::time_point t) const noexcept {
   return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - epoch_)
+      std::chrono::duration_cast<std::chrono::microseconds>(t - epoch_)
           .count());
 }
 
 TraceSink::ThreadBuf& TraceSink::tls() const {
-  if (t_bufs == nullptr) {
-    t_bufs = new std::unordered_map<const TraceSink*, TlsEntry>();
-  }
-  TlsEntry& e = (*t_bufs)[this];
-  if (e.buf == nullptr || e.gen != gen_) {
+  if (t_last_.gen != gen_) {
+    // First emission from this thread since it last used another sink:
+    // find its buffer (a thread keeps one track per sink) or register
+    // one.
+    const std::thread::id self = std::this_thread::get_id();
     std::lock_guard<std::mutex> lk(reg_mu_);
-    auto buf = std::make_unique<ThreadBuf>();
-    buf->track = static_cast<int>(bufs_.size());
-    e.buf = buf.get();
-    e.gen = gen_;
-    bufs_.push_back(std::move(buf));
+    auto it = std::find_if(bufs_.begin(), bufs_.end(),
+                           [self](const auto& b) { return b->owner == self; });
+    if (it == bufs_.end()) {
+      bufs_.push_back(std::make_unique<ThreadBuf>(
+          ThreadBuf{{static_cast<int>(bufs_.size()), {}}, self}));
+      it = std::prev(bufs_.end());
+    }
+    t_last_ = {gen_, it->get()};
   }
-  return *e.buf;
+  return *t_last_.buf;
 }
 
 void TraceSink::append(TraceEvent e) { tls().events.push_back(std::move(e)); }
@@ -118,11 +112,7 @@ std::vector<TrackEvents> TraceSink::drain() const {
   std::vector<TrackEvents> out;
   out.reserve(bufs_.size());
   for (const auto& b : bufs_) {
-    if (b->events.empty()) continue;
-    TrackEvents t;
-    t.track = b->track;
-    t.events = b->events;
-    out.push_back(std::move(t));
+    if (!b->events.empty()) out.push_back(*b);
   }
   return out;
 }

@@ -2,23 +2,26 @@
 // Observability: the low-overhead trace recorder and the obs= knob.
 //
 // A TraceSink records spans (begin/end pairs) and instant events into
-// per-thread buffers: each emitting thread appends to its own buffer
-// (registered once, under a mutex; appends are lock-free thereafter),
-// so concurrent emitters — simpi rank threads, the hetero host-shard
-// thread, scheduler lanes — never contend or race.  One buffer becomes
-// one track in the Chrome-trace export, which is also why per-track
-// timestamps are monotone by construction: buffer order is emission
-// order.
+// per-thread buffers owned by the sink: each emitting thread appends to
+// its own buffer (found under a mutex the first time it emits into a
+// sink; appends are lock-free thereafter), so concurrent emitters —
+// simpi rank threads, the hetero host-shard thread, scheduler lanes —
+// never contend or race.  One buffer becomes one track in the
+// Chrome-trace export, which is also why per-track timestamps are
+// monotone by construction: buffer order is emission order.
 //
-// Instrumentation sites use the zero-cost-when-off OBS_SPAN macro: it
-// reads the process-wide active-sink pointer (one atomic load) and does
-// nothing when no sink is installed, so `obs=off` runs execute the same
-// instructions as a build without the hooks — the bitwise-identity
-// guarantee tests/test_obs.cpp gates on.  Installing a sink only adds
-// timestamping and buffer appends; no event ever feeds back into the
-// physics, so `obs=trace` leaves state hashes and stats untouched.
+// Instrumentation sites use the zero-cost-when-off OBS_SPAN macro (or a
+// prof::ScopedRange): it reads the process-wide active-sink pointer
+// (one atomic load) and does nothing when no sink is installed, so
+// `obs=off` runs execute the same instructions as a build without the
+// hooks — the bitwise-identity guarantee tests/test_obs.cpp gates on.
+// Installing a sink only adds timestamping and buffer appends; no event
+// ever feeds back into the physics, so `obs=trace` leaves state hashes
+// and stats untouched.
 //
 // Event taxonomy (category / name / args):
+//   range    <range name>     prof::ScopedRange = a flat-profile row
+//                             (fast_sbm carries version, groups)
 //   pass     <pass name>      pass dispatch through an exec space
 //                             (space, tiles, iters; shard lists too)
 //   kernel   <kernel name>    simulated device launch (iters,
@@ -29,7 +32,6 @@
 //   region   <field name>     DataRegion verb (dir, bytes, spans)
 //   halo     begin | finish   one halo round (round, bytes, wait_us)
 //   fidelity census           hybrid promote/demote sweep result
-//   fsbm     fast_sbm         one microphysics step
 //   svc      submit | admit | dispatch | batch | complete | <job name>
 //                             scheduler lifecycle (lane, id, class)
 
@@ -41,6 +43,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace wrf::obs {
@@ -152,8 +155,9 @@ class TraceSink {
   TraceSink(const TraceSink&) = delete;
   TraceSink& operator=(const TraceSink&) = delete;
 
-  /// Microseconds since this sink's construction.
-  std::uint64_t now_us() const noexcept;
+  /// Microseconds from this sink's construction to `t`.
+  std::uint64_t now_us(std::chrono::steady_clock::time_point t =
+                           std::chrono::steady_clock::now()) const noexcept;
 
   /// Append a fully-formed event to the calling thread's buffer.
   void append(TraceEvent e);
@@ -175,18 +179,23 @@ class TraceSink {
   /// Total events currently buffered (diagnostic).
   std::size_t event_count() const;
 
-  /// One thread's buffer (implementation detail, public only for the
-  /// TLS registry in trace.cpp).
-  struct ThreadBuf {
-    int track = 0;
-    std::vector<TraceEvent> events;
-  };
-
  private:
-  friend class Span;
+  /// One emitting thread's buffer.
+  struct ThreadBuf : TrackEvents {
+    std::thread::id owner;
+  };
+  /// The calling thread's last-used buffer, tagged with its sink's
+  /// generation.  Generations are never reused, so a new sink at a dead
+  /// one's address misses instead of inheriting a stale buffer.
+  struct LastBuf {
+    std::uint64_t gen = 0;
+    ThreadBuf* buf = nullptr;
+  };
+  static thread_local LastBuf t_last_;
+
   ThreadBuf& tls() const;
 
-  std::uint64_t gen_;  ///< global generation, detects stale TLS entries
+  std::uint64_t gen_;  ///< unique per sink (see LastBuf)
   std::chrono::steady_clock::time_point epoch_;
   mutable std::mutex reg_mu_;                         ///< buffer registry
   mutable std::vector<std::unique_ptr<ThreadBuf>> bufs_;

@@ -1,112 +1,95 @@
 #include "prof/prof.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
-#include <unordered_map>
 
 #include "util/error.hpp"
 
 namespace wrf::prof {
 
 namespace {
-// Per-thread, per-profiler-instance scratch.  Keyed by instance so tests
-// can use private Profiler objects alongside the global one.  Values are
-// type-erased because ThreadData is a private member type.
-thread_local std::unordered_map<const void*, void*>* t_tls = nullptr;
+
+using Clock = Profiler::Clock;
+
+/// One open range on this thread.
+struct Frame {
+  const Profiler* owner;
+  std::string name;
+  Clock::time_point start;
+  double child_sec = 0.0;  ///< credited time of completed children
+};
+
+/// Every range open on this thread, innermost last, for every profiler;
+/// it dies with its thread.
+thread_local std::vector<Frame> t_open;
+
+/// The innermost frame `p` has open on this thread, or t_open.end().
+std::vector<Frame>::iterator innermost(const Profiler* p) {
+  const auto it = std::find_if(t_open.rbegin(), t_open.rend(),
+                               [p](const Frame& f) { return f.owner == p; });
+  return it == t_open.rend() ? t_open.end() : std::prev(it.base());
+}
+
+/// `d` in whole 2^-30 s ticks (see prof.hpp: exact sums in any order).
+double tick_seconds(Clock::duration d) {
+  const double sec = std::chrono::duration<double>(d).count();
+  return std::ldexp(std::nearbyint(std::ldexp(sec, 30)), -30);
+}
+
 }  // namespace
 
-Profiler::ThreadData& Profiler::tls() const {
-  if (t_tls == nullptr) {
-    // Leaked intentionally: thread_local maps of pointers avoid
-    // destructor-order issues between dying threads and live profilers.
-    t_tls = new std::unordered_map<const void*, void*>();
-  }
-  auto it = t_tls->find(this);
-  if (it == t_tls->end()) {
-    it = t_tls->emplace(this, new ThreadData()).first;
-  }
-  return *static_cast<ThreadData*>(it->second);
+void Profiler::push_range(std::string name, Clock::time_point t0) {
+  t_open.push_back(Frame{this, std::move(name), t0});
 }
 
-void Profiler::push_range(const std::string& name) {
-  ThreadData& td = tls();
-  td.stack.push_back(OpenRange{name, std::chrono::steady_clock::now(), 0.0});
-}
-
-void Profiler::pop_range() {
-  ThreadData& td = tls();
-  if (td.stack.empty()) {
+double Profiler::pop_range(Clock::time_point t1) {
+  const auto it = innermost(this);
+  if (it == t_open.end()) {
     throw Error("Profiler::pop_range with no open range on this thread");
   }
-  const auto now = std::chrono::steady_clock::now();
-  OpenRange r = td.stack.back();
-  td.stack.pop_back();
-  const double incl =
-      std::chrono::duration<double>(now - r.start).count();
-  Agg& a = td.pending[r.name];
-  a.calls += 1;
-  a.inclusive += incl;
-  a.exclusive += incl - r.child_time;
-  if (!td.stack.empty()) {
-    td.stack.back().child_time += incl;
-  } else {
-    merge(td);
+  const Frame f = std::move(*it);
+  t_open.erase(it);
+  const double incl = tick_seconds(t1 - f.start);
+  if (const auto parent = innermost(this); parent != t_open.end()) {
+    parent->child_sec += incl;
   }
+  fold(f.name, 1, incl, incl - f.child_sec);
+  return incl;
 }
 
 void Profiler::add_range_time(const std::string& name, std::uint64_t calls,
                               double seconds) {
-  ThreadData& td = tls();
-  Agg& a = td.pending[name];
-  a.calls += calls;
-  a.inclusive += seconds;
-  a.exclusive += seconds;
-  if (!td.stack.empty()) {
+  if (const auto parent = innermost(this); parent != t_open.end()) {
     // Credit the open parent, clamped to its elapsed wall so far: a
     // parallel dispatch can accumulate more summed worker seconds than
     // the parent's wall time, and crediting past that would drive the
     // parent's exclusive time negative.  (gprof-style thread-summed CPU
     // time for `name`, wall-bounded child attribution for the parent.)
-    OpenRange& parent = td.stack.back();
     const double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      parent.start)
-            .count();
-    const double headroom = elapsed - parent.child_time;
-    parent.child_time +=
-        seconds < headroom ? seconds : (headroom > 0.0 ? headroom : 0.0);
-  } else {
-    merge(td);
+        std::chrono::duration<double>(Clock::now() - parent->start).count();
+    const double headroom = elapsed - parent->child_sec;
+    parent->child_sec += std::min(seconds, std::max(headroom, 0.0));
   }
+  fold(name, calls, seconds, seconds);
 }
 
-void Profiler::merge(ThreadData& td) const {
-  if (td.pending.empty()) return;
+void Profiler::fold(const std::string& name, std::uint64_t calls,
+                    double inclusive, double exclusive) {
   std::lock_guard<std::mutex> lk(mu_);
-  for (const auto& [name, agg] : td.pending) {
-    Agg& dst = table_[name];
-    dst.calls += agg.calls;
-    dst.inclusive += agg.inclusive;
-    dst.exclusive += agg.exclusive;
-  }
-  td.pending.clear();
+  Agg& a = table_[name];
+  a.calls += calls;
+  a.inclusive += inclusive;
+  a.exclusive += exclusive;
 }
 
-void Profiler::flush() const { merge(tls()); }
-
-void Profiler::add_counter(const std::string& name, std::uint64_t v) {
+Profiler::Agg Profiler::row(const std::string& name) const {
   std::lock_guard<std::mutex> lk(mu_);
-  counters_[name] += v;
-}
-
-std::uint64_t Profiler::counter(const std::string& name) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second;
+  const auto it = table_.find(name);
+  return it == table_.end() ? Agg{} : it->second;
 }
 
 std::vector<FlatRow> Profiler::flat_report() const {
-  flush();
   std::lock_guard<std::mutex> lk(mu_);
   double total_excl = 0.0;
   for (const auto& [name, agg] : table_) total_excl += agg.exclusive;
@@ -129,31 +112,20 @@ std::vector<FlatRow> Profiler::flat_report() const {
 }
 
 double Profiler::inclusive_sec(const std::string& name) const {
-  flush();
-  std::lock_guard<std::mutex> lk(mu_);
-  auto it = table_.find(name);
-  return it == table_.end() ? 0.0 : it->second.inclusive;
+  return row(name).inclusive;
 }
 
 double Profiler::exclusive_sec(const std::string& name) const {
-  flush();
-  std::lock_guard<std::mutex> lk(mu_);
-  auto it = table_.find(name);
-  return it == table_.end() ? 0.0 : it->second.exclusive;
+  return row(name).exclusive;
 }
 
 std::uint64_t Profiler::calls(const std::string& name) const {
-  flush();
-  std::lock_guard<std::mutex> lk(mu_);
-  auto it = table_.find(name);
-  return it == table_.end() ? 0 : it->second.calls;
+  return row(name).calls;
 }
 
 void Profiler::reset() {
-  tls();  // ensure TLS exists so stale pending data is dropped coherently
   std::lock_guard<std::mutex> lk(mu_);
   table_.clear();
-  counters_.clear();
 }
 
 std::string Profiler::format_flat_report() const {
@@ -178,9 +150,27 @@ std::string Profiler::format_flat_report() const {
   return out;
 }
 
-Profiler& global() {
-  static Profiler p;
-  return p;
+ScopedRange::ScopedRange(Profiler& p, std::string name,
+                         std::initializer_list<obs::Arg> args)
+    : p_(p), sink_(obs::active()) {
+  const Clock::time_point t0 = Clock::now();
+  if (sink_ != nullptr) {
+    name_ = name;
+    sink_->append({name_, "range", 'B', sink_->now_us(t0),
+                   std::vector<obs::ArgVal>(args.begin(), args.end())});
+  }
+  p_.push_range(std::move(name), t0);
+}
+
+double ScopedRange::stop() {
+  if (!open_) return sec_;
+  open_ = false;
+  const Clock::time_point t1 = Clock::now();
+  sec_ = p_.pop_range(t1);
+  if (sink_ != nullptr) {
+    sink_->append({std::move(name_), "range", 'E', sink_->now_us(t1), {}});
+  }
+  return sec_;
 }
 
 }  // namespace wrf::prof

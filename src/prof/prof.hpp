@@ -1,28 +1,34 @@
 #pragma once
-// Instrumenting profiler: NVTX-like named ranges, gprof-like flat reports.
+// Instrumenting profiler: one range timer behind the flat profile, the
+// stats walls and the trace.
 //
-// The paper locates its optimization targets with two tools: GNU gprof
-// (aggregate flat profile over all MPI ranks) and NVIDIA Nsight Systems
-// (per-rank NVTX ranges).  This module provides both reporting paths over
-// a single instrumentation mechanism:
+// The paper locates its optimization targets with GNU gprof (aggregate
+// flat profile) and Nsight Systems (per-rank NVTX ranges).  Here one
+// timer serves both: `ScopedRange r(prof, "fast_sbm");` reads the clock
+// once at open and once at close, and that interval
+//   - folds into the Profiler's flat table (ranges nest; exclusive time
+//     goes to the innermost open range of the same profiler per thread),
+//   - is a "range" B/E span on the active obs::TraceSink, if installed
+//     (with none, one atomic load: obs=off is unchanged), and
+//   - is what `r.stop()` returns, for the stats field of the same region
+//     (FsbmStats::wall_total_sec / wall_coal_sec, StepStats::wall_sec /
+//     halo_wall_sec).
+// `Profiler::flat_report()` gives the gprof-style rows (name, calls,
+// inclusive and exclusive seconds, percent).
 //
-//   * `ScopedRange r(prof, "fast_sbm");` opens an NVTX-style range; ranges
-//     nest, and exclusive time is attributed correctly to the innermost
-//     open range on each thread.
-//   * `Profiler::flat_report()` returns gprof-style rows (name, calls,
-//     inclusive seconds, exclusive seconds, percent of wall).
-//
-// The profiler also hosts a registry of monotonically increasing work
-// counters (bin operations, bytes moved, cells processed) used by
-// src/perfmodel to convert counted work into modeled hardware time.
+// Range durations are whole 2^-30 s ticks.  Sums of such values (below
+// 2^23 s) are exact in any order, so a wall field summed over steps and
+// ranks equals its flat-profile row to the bit.
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "obs/trace.hpp"
 
 namespace wrf::prof {
 
@@ -35,23 +41,26 @@ struct FlatRow {
   double percent_exclusive = 0.0;  ///< of total exclusive time
 };
 
-/// Thread-safe profiler with nested named ranges and work counters.
+/// Thread-safe profiler with nested named ranges.
 ///
-/// Cheap enough to leave enabled: a range open/close is two clock reads
-/// plus thread-local bookkeeping; data is merged into the shared table
-/// only when a thread's nesting depth returns to zero or on `flush()`.
+/// Cheap enough to leave enabled: a range open/close is two clock reads,
+/// a push/pop on the calling thread's stack of open ranges, and one
+/// locked fold into the shared table at close.
 class Profiler {
  public:
+  using Clock = std::chrono::steady_clock;
+
   Profiler() = default;
   Profiler(const Profiler&) = delete;
   Profiler& operator=(const Profiler&) = delete;
 
-  /// Open a named range on the calling thread. Must be paired with
-  /// `pop_range()` in LIFO order (use ScopedRange).
-  void push_range(const std::string& name);
+  /// Open a named range on the calling thread, started at `t0`.  Must be
+  /// paired with `pop_range()` in LIFO order (use ScopedRange).
+  void push_range(std::string name, Clock::time_point t0);
 
-  /// Close the innermost open range on the calling thread.
-  void pop_range();
+  /// Close the innermost range this profiler has open on the calling
+  /// thread, ended at `t1`, and return its inclusive seconds.
+  double pop_range(Clock::time_point t1 = Clock::now());
 
   /// Attribute externally measured time as a completed child range of
   /// the innermost open range on the calling thread (or as a top-level
@@ -61,12 +70,6 @@ class Profiler {
   /// would serialize on the profiler mutex.
   void add_range_time(const std::string& name, std::uint64_t calls,
                       double seconds);
-
-  /// Add `v` to the named counter (creates it on first use).
-  void add_counter(const std::string& name, std::uint64_t v);
-
-  /// Current value of a counter (0 if never written).
-  std::uint64_t counter(const std::string& name) const;
 
   /// Flat profile over everything recorded so far, sorted by exclusive
   /// time descending.  Percentages are of the summed exclusive time, which
@@ -80,13 +83,7 @@ class Profiler {
   /// Number of times the named range was entered.
   std::uint64_t calls(const std::string& name) const;
 
-  /// Merge the calling thread's completed ranges into the shared table.
-  /// Merging also happens automatically whenever a thread's nesting depth
-  /// returns to zero, so worker threads need no explicit flush as long as
-  /// their outermost range closes.
-  void flush() const;
-
-  /// Drop all recorded ranges and counters.
+  /// Drop all recorded ranges.
   void reset();
 
   /// Render a gprof-like text table.
@@ -98,39 +95,36 @@ class Profiler {
     double inclusive = 0.0;
     double exclusive = 0.0;
   };
-  struct OpenRange {
-    std::string name;
-    std::chrono::steady_clock::time_point start;
-    double child_time = 0.0;  // inclusive time of completed children
-  };
-  struct ThreadData {
-    std::vector<OpenRange> stack;
-    std::map<std::string, Agg> pending;
-  };
 
-  ThreadData& tls() const;
-  void merge(ThreadData& td) const;
+  void fold(const std::string& name, std::uint64_t calls, double inclusive,
+            double exclusive);
+  Agg row(const std::string& name) const;
 
   mutable std::mutex mu_;
-  mutable std::map<std::string, Agg> table_;
-  mutable std::map<std::string, std::uint64_t> counters_;
+  std::map<std::string, Agg> table_;
 };
 
-/// RAII wrapper for a profiler range (the NVTX idiom).
+/// RAII range (the NVTX idiom) and the one timer of a named region; see
+/// the file comment.  `args` ride on the trace span's B event (literal
+/// keys and string values, as for OBS_SPAN).
 class ScopedRange {
  public:
-  ScopedRange(Profiler& p, const std::string& name) : p_(p) {
-    p_.push_range(name);
-  }
-  ~ScopedRange() { p_.pop_range(); }
+  ScopedRange(Profiler& p, std::string name,
+              std::initializer_list<obs::Arg> args = {});
+  ~ScopedRange() { stop(); }
   ScopedRange(const ScopedRange&) = delete;
   ScopedRange& operator=(const ScopedRange&) = delete;
 
+  /// Close the range (the first call does) and return its inclusive
+  /// seconds: the value the flat table was credited with.
+  double stop();
+
  private:
   Profiler& p_;
+  obs::TraceSink* sink_;
+  std::string name_;  ///< kept for the E event only when sink_ is set
+  bool open_ = true;
+  double sec_ = 0.0;
 };
-
-/// Process-wide default profiler used by the model driver and benches.
-Profiler& global();
 
 }  // namespace wrf::prof

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -234,6 +235,27 @@ TEST(ObsSink, DyingActiveSinkDeactivatesItself) {
     EXPECT_EQ(obs::active(), &sink);
   }
   EXPECT_EQ(obs::active(), nullptr);
+}
+
+TEST(ObsSink, ThreadKeepsOneTrackPerSinkAndNoStaleBuffer) {
+  auto a = std::make_unique<obs::TraceSink>();
+  obs::TraceSink b;
+  for (int n = 0; n < 3; ++n) {  // each switch re-finds the thread's buffer
+    a->instant("t", "a");
+    b.instant("t", "b");
+  }
+  EXPECT_EQ(a->drain().size(), 1u);
+  EXPECT_EQ(a->event_count(), 3u);
+  EXPECT_EQ(b.drain().size(), 1u);
+  a.reset();
+  // The thread's cached buffer died with `a`; a new sink, even one at
+  // a's address, must register a fresh one rather than reuse it.
+  auto c = std::make_unique<obs::TraceSink>();
+  c->instant("t", "c");
+  const std::vector<obs::TrackEvents> tracks = c->drain();
+  ASSERT_EQ(tracks.size(), 1u);
+  EXPECT_EQ(tracks[0].track, 0);
+  EXPECT_EQ(tracks[0].events.size(), 1u);
 }
 
 // -------------------------------------------------------- physics gates
@@ -467,6 +489,59 @@ TEST(ObsTrace, GoldenChromeTraceFromARealRun) {
   EXPECT_NE(doc.find("\"cat\":\"pass\""), std::string::npos);
   EXPECT_NE(doc.find("\"cat\":\"kernel\""), std::string::npos);
   EXPECT_NE(doc.find("\"cat\":\"xfer\""), std::string::npos);
+}
+
+TEST(Obs, EveryRangeIsATraceSpan) {
+  // The flat profile and the trace come from one timer: each row a
+  // prof::ScopedRange recorded is a "range" span, call for call, and
+  // every range span is a row.  The cases cover every range site: v0's
+  // inline coal (whose coal_bott_new_loop row is add_range_time's, not a
+  // range), v3's pass groups, the hybrid fidelity sweep, blocked
+  // sedimentation, and halo rounds on 2x2 ranks in both halo modes.
+  struct Case {
+    const char* label;
+    model::RunConfig cfg;
+  };
+  std::vector<Case> cases;
+  model::RunConfig v0 = gate_case("serial", mem::ResidencyMode::kStep);
+  v0.version = fsbm::Version::kV0Baseline;
+  cases.push_back({"v0 inline coal", v0});
+  model::RunConfig hybrid = gate_case("threads:2", mem::ResidencyMode::kStep);
+  hybrid.phys = fsbm::PhysScheme::kHybrid;
+  hybrid.sed = fsbm::SedDispatch::parse("block:8");
+  cases.push_back({"v3 hybrid block sed", hybrid});
+  for (const char* halo : {"sync", "overlap"}) {
+    model::RunConfig d = gate_case("serial", mem::ResidencyMode::kPersist);
+    d.npx = d.npy = 2;
+    d.halo_mode = std::string(halo) == "sync" ? dyn::HaloMode::kSync
+                                              : dyn::HaloMode::kOverlap;
+    cases.push_back({halo, d});
+  }
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.label);
+    prof::Profiler prof;
+    obs::TraceSink sink;
+    {
+      obs::ScopedActive active(&sink);
+      model::run_simulation(c.cfg, prof);
+    }
+    audit_tracks(sink);  // balanced and monotone on every track
+    std::map<std::string, std::uint64_t> begins;
+    for (const obs::TrackEvents& track : sink.drain()) {
+      for (const obs::TraceEvent& e : track.events) {
+        if (e.phase == 'B' && std::string(e.cat) == "range") ++begins[e.name];
+      }
+    }
+    std::size_t range_rows = 0;
+    for (const prof::FlatRow& row : prof.flat_report()) {
+      if (!c.cfg.offloaded() && row.name == "coal_bott_new_loop") continue;
+      ++range_rows;
+      EXPECT_EQ(begins[row.name], row.calls) << row.name;
+    }
+    EXPECT_EQ(begins.size(), range_rows);
+    EXPECT_GT(begins["halo_exchange"], 0u);
+    EXPECT_GT(begins["fast_sbm"], 0u);
+  }
 }
 
 TEST(ObsTrace, StepSeriesSortedByStepAndRank) {

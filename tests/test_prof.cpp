@@ -1,10 +1,13 @@
-// Unit tests: profiler ranges, nesting, counters, thread merge.
+// Unit tests: profiler ranges, nesting, thread merge, and the one-timer
+// contract — a region's stats wall field and its flat-profile row are
+// the same measurement.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <thread>
 
+#include "model/driver.hpp"
 #include "prof/prof.hpp"
 #include "util/error.hpp"
 
@@ -89,14 +92,6 @@ TEST(Profiler, FlatReportSortedByExclusive) {
               1e-9);
 }
 
-TEST(Profiler, CountersAccumulate) {
-  Profiler p;
-  p.add_counter("flops", 100);
-  p.add_counter("flops", 250);
-  EXPECT_EQ(p.counter("flops"), 350u);
-  EXPECT_EQ(p.counter("missing"), 0u);
-}
-
 TEST(Profiler, WorkerThreadsMergeOnOutermostClose) {
   Profiler p;
   std::thread t1([&] {
@@ -117,10 +112,8 @@ TEST(Profiler, ResetClears) {
   {
     ScopedRange r(p, "x");
   }
-  p.add_counter("c", 5);
   p.reset();
   EXPECT_EQ(p.calls("x"), 0u);
-  EXPECT_EQ(p.counter("c"), 0u);
 }
 
 TEST(Profiler, FormatContainsNames) {
@@ -133,10 +126,109 @@ TEST(Profiler, FormatContainsNames) {
   EXPECT_NE(rep.find("%time"), std::string::npos);
 }
 
-TEST(Profiler, GlobalInstanceIsStable) {
-  Profiler& a = global();
-  Profiler& b = global();
-  EXPECT_EQ(&a, &b);
+TEST(Profiler, StopReturnsTheCreditedSecondsOnce) {
+  Profiler p;
+  double first = 0.0;
+  {
+    ScopedRange r(p, "region");
+    spin_ms(2);
+    first = r.stop();
+    spin_ms(2);  // after stop(): not part of the range
+    EXPECT_EQ(r.stop(), first);
+  }
+  EXPECT_EQ(p.calls("region"), 1u);
+  EXPECT_EQ(p.inclusive_sec("region"), first);
+  EXPECT_GE(first, 0.001);
+  EXPECT_LT(first, 0.0035);
+}
+
+TEST(Profiler, TwoProfilersNestIndependently) {
+  // Frames are tagged with their profiler: a range of another profiler
+  // opened inside never becomes this one's child.
+  Profiler a;
+  Profiler b;
+  {
+    ScopedRange outer(a, "outer");
+    {
+      ScopedRange inner(b, "inner");
+      spin_ms(4);
+    }
+  }
+  EXPECT_EQ(a.exclusive_sec("outer"), a.inclusive_sec("outer"));
+  EXPECT_EQ(a.calls("inner"), 0u);
+  EXPECT_EQ(b.calls("inner"), 1u);
+  EXPECT_GE(a.inclusive_sec("outer"), b.inclusive_sec("inner"));
+}
+
+// ------------------------------------- ranges feed the stats wall fields
+
+model::RunConfig small_case(fsbm::Version v) {
+  model::RunConfig cfg;
+  cfg.nx = 16;
+  cfg.ny = 12;
+  cfg.nz = 8;
+  cfg.nsteps = 3;
+  cfg.version = v;
+  return cfg;
+}
+
+/// Each wall field sums its region's range seconds, which are whole
+/// 2^-30 s ticks: the totals equal the flat-profile rows exactly, in
+/// whatever order steps and ranks were added up.
+void expect_walls_reconcile(const model::RunResult& r, const Profiler& p,
+                            const std::string& coal_range) {
+  EXPECT_EQ(r.totals.fsbm.wall_total_sec, p.inclusive_sec("fast_sbm"));
+  EXPECT_EQ(r.totals.fsbm.wall_coal_sec, p.inclusive_sec(coal_range));
+  EXPECT_EQ(r.totals.wall_sec, p.inclusive_sec("solve_interval"));
+  EXPECT_EQ(r.totals.halo_wall_sec, p.inclusive_sec("halo_exchange"));
+  EXPECT_GT(p.calls(coal_range), 0u);
+  EXPECT_GT(r.totals.halo_wall_sec, 0.0);
+}
+
+TEST(Profiler, RangesReconcileWithStatsWalls) {
+  // Single rank: v0's inline coal (per-cell partials reported through
+  // add_range_time), v3's coal group range, and v3's fused cond+coal
+  // group, which reports under the coal slot too.
+  struct Case {
+    fsbm::Version version;
+    exec::FuseMode fuse;
+    const char* coal_range;
+  };
+  for (const Case& c :
+       {Case{fsbm::Version::kV0Baseline, exec::FuseMode::kOff,
+             "coal_bott_new_loop"},
+        Case{fsbm::Version::kV3Offload3, exec::FuseMode::kOff,
+             "coal_bott_new_loop"},
+        Case{fsbm::Version::kV3Offload3, exec::FuseMode::kAuto,
+             "onecond_coal_fused"}}) {
+    SCOPED_TRACE(std::string(fsbm::version_name(c.version)) + " " +
+                 c.coal_range);
+    model::RunConfig cfg = small_case(c.version);
+    cfg.fuse = c.fuse;
+    cfg.fsbm_params.offload_condensation = c.fuse == exec::FuseMode::kAuto;
+    Profiler p;
+    const model::RunResult r = model::run_single(cfg, p);
+    expect_walls_reconcile(r, p, c.coal_range);
+    EXPECT_EQ(p.calls("fast_sbm"), 3u);
+    EXPECT_EQ(p.calls("solve_interval"), 3u);
+    // halo_begin and halo_finish are one range each, per RK3 stage.
+    EXPECT_EQ(p.calls("halo_exchange"), 3u * 3u * 2u);
+  }
+  // 2x2 ranks share one profiler: rank threads fold in arrival order
+  // while RunResult merges rank by rank — still exact.
+  for (const dyn::HaloMode halo :
+       {dyn::HaloMode::kSync, dyn::HaloMode::kOverlap}) {
+    SCOPED_TRACE(model::knob_name(halo));
+    model::RunConfig cfg = small_case(fsbm::Version::kV3Offload3);
+    cfg.npx = cfg.npy = 2;
+    cfg.halo_mode = halo;
+    Profiler p;
+    const model::RunResult r = model::run_simulation(cfg, p);
+    expect_walls_reconcile(r, p, "coal_bott_new_loop");
+    EXPECT_EQ(p.calls("fast_sbm"), 4u * 3u);
+    EXPECT_EQ(p.calls("halo_exchange"), 4u * 3u * 3u * 2u);
+    EXPECT_GT(r.totals.halo_bytes, 0u);
+  }
 }
 
 // ------------------------------------------- add_range_time semantics
