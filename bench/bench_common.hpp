@@ -16,7 +16,9 @@
 #include <vector>
 
 #include "model/driver.hpp"
+#include "obs/export.hpp"
 #include "perfmodel/scaling.hpp"
+#include "tune/artifact.hpp"
 #include "tune/measure.hpp"
 #include "util/count.hpp"
 
@@ -82,6 +84,28 @@ inline bool json_format(const model::CommandLine& cl) {
     throw ConfigError("'--benchmark_format=" + fmt->second + "': want json");
   }
   return fmt != cl.owned.end();
+}
+
+/// Print one trajectory point to stdout: {"bench": name, body's members,
+/// the stamp}.  The stamp is the point format's schema version plus the
+/// machine fingerprint tuned.json records.
+template <class Body>
+void print_point(const char* name, const Body& body) {
+  const tune::MachineFingerprint m =
+      tune::local_fingerprint(gpu::DeviceSpec::a100_40gb().name);
+  obs::JsonWriter w;
+  w.begin_object().field("bench", name);
+  body(w);
+  w.field("schema_version", 1).key("machine").begin_object();
+  w.field("hw_threads", m.hw_threads).field("device", m.device);
+  w.end_object().end_object();
+  std::fputs(w.str().c_str(), stdout);
+}
+
+/// "NXxNYxNZ", the trajectory points' grid spelling.
+inline std::string grid_name(int nx, int ny, int nz) {
+  return std::to_string(nx) + "x" + std::to_string(ny) + "x" +
+         std::to_string(nz);
 }
 
 /// The grid benches' command line: "[nx ny nz nsteps]

@@ -17,9 +17,10 @@
 //
 // Usage: bench_fusion [nx ny nz nsteps] [--benchmark_format=json]
 //   default grid: the 107x75x50 per-rank CONUS patch of Tables IV-VI.
-//   JSON mode emits one google-benchmark-style record per (fuse, res)
-//   cell; scripts/bench_json.sh distills BENCH_fusion.json from it.
+//   JSON mode prints the trajectory point BENCH_fusion.json: one object
+//   per (fuse, res) cell, the derived savings and the two gates.
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -109,29 +110,18 @@ Cell measure(exec::FuseMode fuse, mem::ResidencyMode res, int nx, int ny,
 
 double mb(double bytes) { return bytes / 1e6; }
 
-void print_json(const std::vector<Cell>& cells, int nx, int ny, int nz,
-                int nsteps) {
-  std::printf("{\n  \"context\": {\"executable\": \"bench_fusion\", "
-              "\"grid\": \"%dx%dx%d\", \"nsteps\": %d, "
-              "\"version\": \"v3_offload_collapse3\", "
-              "\"offload_condensation\": true, \"exec\": \"device\"},\n",
-              nx, ny, nz, nsteps);
-  std::printf("  \"benchmarks\": [\n");
-  for (std::size_t n = 0; n < cells.size(); ++n) {
-    const Cell& c = cells[n];
-    std::printf(
-        "    {\"name\": \"fusion/fuse=%s/res=%s\", \"run_type\": "
-        "\"aggregate\", \"launches_per_step\": %.1f, "
-        "\"launch_latency_ms_per_step\": %.4f, "
-        "\"h2d_bytes_per_step\": %.0f, \"d2h_bytes_per_step\": %.0f, "
-        "\"wall_s_min\": %.4f, \"wall_s_median\": %.4f, \"wall_cv\": %.3f, "
-        "\"reps\": %d, \"fused_pair\": \"%s\"}%s\n",
-        model::knob_name(c.fuse), model::knob_name(c.res),
-        c.launches_step, c.latency_ms_step, c.h2d_steady, c.d2h_steady,
-        c.wall.min, c.wall.median, c.wall.cv, c.wall.reps,
-        c.fused_pair.c_str(), n + 1 < cells.size() ? "," : "");
-  }
-  std::printf("  ]\n}\n");
+void write_cell(obs::JsonWriter& w, const char* key, const Cell& c) {
+  w.key(key).begin_object();
+  w.field("name", std::string("fusion/fuse=") + model::knob_name(c.fuse) +
+                      "/res=" + model::knob_name(c.res));
+  w.field("run_type", "aggregate");
+  w.field("launches_per_step", c.launches_step);
+  w.field("launch_latency_ms_per_step", c.latency_ms_step);
+  w.field("h2d_bytes_per_step", c.h2d_steady);
+  w.field("d2h_bytes_per_step", c.d2h_steady);
+  w.field("wall_s_min", c.wall.min).field("wall_s_median", c.wall.median);
+  w.field("wall_cv", c.wall.cv).field("reps", c.wall.reps);
+  w.field("fused_pair", c.fused_pair).end_object();
 }
 
 }  // namespace
@@ -142,6 +132,7 @@ int main(int argc, char** argv) {
   if (nsteps < 2) nsteps = 2;  // steady state needs a second step
   const int reps = 3;
 
+  // Sweep order: off step, off persist, auto step, auto persist.
   std::vector<Cell> cells;
   for (const exec::FuseMode fuse :
        {exec::FuseMode::kOff, exec::FuseMode::kAuto}) {
@@ -150,22 +141,10 @@ int main(int argc, char** argv) {
       cells.push_back(measure(fuse, res, nx, ny, nz, nsteps, reps));
     }
   }
-
-  auto find_cell = [&](exec::FuseMode f, mem::ResidencyMode r) -> const Cell& {
-    for (const Cell& c : cells) {
-      if (c.fuse == f && c.res == r) return c;
-    }
-    std::fprintf(stderr, "bench_fusion: missing sweep cell\n");
-    std::exit(2);
-  };
-  const Cell& off_step =
-      find_cell(exec::FuseMode::kOff, mem::ResidencyMode::kStep);
-  const Cell& auto_step =
-      find_cell(exec::FuseMode::kAuto, mem::ResidencyMode::kStep);
-  const Cell& off_pers =
-      find_cell(exec::FuseMode::kOff, mem::ResidencyMode::kPersist);
-  const Cell& auto_pers =
-      find_cell(exec::FuseMode::kAuto, mem::ResidencyMode::kPersist);
+  const Cell& off_step = cells[0];
+  const Cell& off_pers = cells[1];
+  const Cell& auto_step = cells[2];
+  const Cell& auto_pers = cells[3];
   const bool fewer_launches =
       auto_step.launches_step < off_step.launches_step &&
       auto_pers.launches_step < off_pers.launches_step;
@@ -175,7 +154,24 @@ int main(int argc, char** argv) {
   const int exit_code = (fewer_launches && fewer_bytes) ? 0 : 1;
 
   if (json) {
-    print_json(cells, nx, ny, nz, nsteps);
+    bench::print_point("fusion", [&](obs::JsonWriter& w) {
+      w.key("context").begin_object().field("executable", "bench_fusion");
+      w.field("grid", bench::grid_name(nx, ny, nz)).field("nsteps", nsteps);
+      w.field("version", "v3_offload_collapse3");
+      w.field("offload_condensation", true).field("exec", "device");
+      w.end_object();
+      write_cell(w, "off_step", off_step);
+      write_cell(w, "auto_step", auto_step);
+      write_cell(w, "off_persist", off_pers);
+      write_cell(w, "auto_persist", auto_pers);
+      w.field("fused_pair", auto_step.fused_pair);
+      w.field("launches_saved_per_step",
+              off_step.launches_step - auto_step.launches_step);
+      w.field("step_traffic_reduction_x",
+              off_bytes / std::max(auto_bytes, 1.0));
+      w.field("fewer_launches", fewer_launches);
+      w.field("less_step_traffic", fewer_bytes);
+    });
     return exit_code;
   }
 

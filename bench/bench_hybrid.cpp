@@ -16,10 +16,12 @@
 //
 // Usage: bench_hybrid [nx ny nz nsteps] [--benchmark_format=json]
 //   default grid: the 64x48x24 scaled CONUS case, 3 steps.
-//   JSON mode emits one record per phys mode; scripts/bench_json.sh
-//   distills the trajectory point BENCH_hybrid.json from it.
+//   JSON mode prints the trajectory point BENCH_hybrid.json: one object
+//   per phys mode, the hybrid's speedups and the two gates.
 
+#include <algorithm>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -78,30 +80,20 @@ Mode measure(fsbm::PhysScheme phys, int nx, int ny, int nz, int nsteps,
   return m;
 }
 
-void print_json(const std::vector<Mode>& modes, int nx, int ny, int nz,
-                int nsteps) {
-  std::printf("{\n  \"context\": {\"executable\": \"bench_hybrid\", "
-              "\"grid\": \"%dx%dx%d\", \"nsteps\": %d, "
-              "\"version\": \"v1-lookup-on-demand\"},\n",
-              nx, ny, nz, nsteps);
-  std::printf("  \"benchmarks\": [\n");
-  for (std::size_t n = 0; n < modes.size(); ++n) {
-    const Mode& m = modes[n];
-    std::printf(
-        "    {\"name\": \"hybrid/phys=%s\", \"run_type\": \"aggregate\", "
-        "\"wall_s_min\": %.4f, \"wall_s_median\": %.4f, \"wall_cv\": %.3f, "
-        "\"reps\": %d, \"cellsteps_per_s\": %.0f, \"bin_fraction\": %.4f, "
-        "\"cells_active\": %llu, \"promotions\": %llu, "
-        "\"demotions\": %llu, \"surface_precip\": %.6e, "
-        "\"bulk_flops\": %.4e, \"bin_flops\": %.4e}%s\n",
-        model::knob_name(m.phys), m.wall.min, m.wall.median, m.wall.cv,
-        m.wall.reps, m.cellsteps_per_s, m.bin_fraction,
-        static_cast<unsigned long long>(m.cells_active),
-        static_cast<unsigned long long>(m.promotions),
-        static_cast<unsigned long long>(m.demotions), m.surface_precip,
-        m.bulk_flops, m.bin_flops, n + 1 < modes.size() ? "," : "");
-  }
-  std::printf("  ]\n}\n");
+void write_mode(obs::JsonWriter& w, const Mode& m) {
+  const char* phys = model::knob_name(m.phys);
+  w.key(phys).begin_object();
+  w.field("name", std::string("hybrid/phys=") + phys);
+  w.field("run_type", "aggregate");
+  w.field("wall_s_min", m.wall.min).field("wall_s_median", m.wall.median);
+  w.field("wall_cv", m.wall.cv).field("reps", m.wall.reps);
+  w.field("cellsteps_per_s", m.cellsteps_per_s);
+  w.field("bin_fraction", m.bin_fraction);
+  w.field("cells_active", m.cells_active);
+  w.field("promotions", m.promotions).field("demotions", m.demotions);
+  w.field("surface_precip", m.surface_precip);
+  w.field("bulk_flops", m.bulk_flops).field("bin_flops", m.bin_flops);
+  w.end_object();
 }
 
 }  // namespace
@@ -136,7 +128,18 @@ int main(int argc, char** argv) {
   const int exit_code = ordered && two_sided ? 0 : 1;
 
   if (json) {
-    print_json(modes, nx, ny, nz, nsteps);
+    bench::print_point("hybrid", [&](obs::JsonWriter& w) {
+      w.key("context").begin_object().field("executable", "bench_hybrid");
+      w.field("grid", bench::grid_name(nx, ny, nz)).field("nsteps", nsteps);
+      w.field("version", "v1-lookup-on-demand").end_object();
+      for (const Mode& m : modes) write_mode(w, m);
+      const double bin_rate = std::max(bin.cellsteps_per_s, 1.0);
+      w.field("bin_fraction", hyb.bin_fraction);
+      w.field("hybrid_speedup_over_bin_x", hyb.cellsteps_per_s / bin_rate);
+      w.field("bulk_bound_speedup_x", blk.cellsteps_per_s / bin_rate);
+      w.field("throughput_strictly_ordered", ordered);
+      w.field("census_two_sided", two_sided);
+    });
     return exit_code;
   }
 

@@ -16,9 +16,9 @@
 //
 // Usage: bench_residency [nx ny nz nsteps] [--benchmark_format=json]
 //   default grid: the 107x75x50 per-rank CONUS patch of Tables IV-VI.
-//   JSON mode emits one google-benchmark-style record per
-//   (version, res) cell; scripts/bench_json.sh distills the trajectory
-//   point BENCH_residency.json from it.
+//   JSON mode prints the trajectory point BENCH_residency.json: the
+//   steady-state traffic per (version, res) cell, the v3 reduction and
+//   its gate.
 
 #include <cstdio>
 #include <string>
@@ -92,29 +92,16 @@ Cell measure(fsbm::Version v, mem::ResidencyMode res, int nx, int ny, int nz,
 
 double mb(double bytes) { return bytes / 1e6; }
 
-void print_json(const std::vector<Cell>& cells, int nx, int ny, int nz,
-                int nsteps) {
-  std::printf("{\n  \"context\": {\"executable\": \"bench_residency\", "
-              "\"grid\": \"%dx%dx%d\", \"nsteps\": %d, \"exec\": \"device\"},\n",
-              nx, ny, nz, nsteps);
-  std::printf("  \"benchmarks\": [\n");
-  for (std::size_t n = 0; n < cells.size(); ++n) {
-    const Cell& c = cells[n];
-    std::printf(
-        "    {\"name\": \"residency/%s/res=%s\", \"run_type\": \"aggregate\", "
-        "\"h2d_bytes_first_step\": %.0f, \"d2h_bytes_first_step\": %.0f, "
-        "\"h2d_bytes_per_step\": %.0f, \"d2h_bytes_per_step\": %.0f, "
-        "\"transfer_ms_per_step\": %.6f, \"kernel_ms_per_step\": %.4f, "
-        "\"resident_mb\": %.2f, \"wall_s_min\": %.4f, "
-        "\"wall_s_median\": %.4f, \"wall_cv\": %.3f, \"reps\": %d}%s\n",
-        fsbm::version_name(c.version), model::knob_name(c.res),
-        c.h2d_first, c.d2h_first, c.h2d_steady, c.d2h_steady,
-        c.xfer_ms_steady, c.kernel_ms_step,
-        mb(static_cast<double>(c.resident_bytes)),
-        c.wall.min, c.wall.median, c.wall.cv, c.wall.reps,
-        n + 1 < cells.size() ? "," : "");
-  }
-  std::printf("  ]\n}\n");
+void write_traffic(obs::JsonWriter& w, const char* key, const Cell& c) {
+  w.key(key).begin_object();
+  w.field("h2d_bytes_per_step", c.h2d_steady);
+  w.field("d2h_bytes_per_step", c.d2h_steady);
+  w.field("h2d_bytes_first_step", c.h2d_first);
+  w.field("d2h_bytes_first_step", c.d2h_first);
+  w.field("transfer_ms_per_step", c.xfer_ms_steady);
+  w.field("kernel_ms_per_step", c.kernel_ms_step);
+  w.field("resident_mb", mb(static_cast<double>(c.resident_bytes)));
+  w.end_object();
 }
 
 }  // namespace
@@ -125,6 +112,7 @@ int main(int argc, char** argv) {
   if (nsteps < 2) nsteps = 2;  // steady state needs a second step
   const int reps = 3;
 
+  // Sweep order: v2 step, v2 persist, v3 step, v3 persist.
   std::vector<Cell> cells;
   for (const fsbm::Version v :
        {fsbm::Version::kV2Offload2, fsbm::Version::kV3Offload3}) {
@@ -137,24 +125,25 @@ int main(int argc, char** argv) {
   // Shape check on v3 — the acceptance bar for the residency subsystem;
   // enforced through the exit code in BOTH output modes so the CI smoke
   // (which runs via scripts/bench_json.sh) actually asserts it.
-  auto find_cell = [&](fsbm::Version v, mem::ResidencyMode res) -> const Cell& {
-    for (const Cell& c : cells) {
-      if (c.version == v && c.res == res) return c;
-    }
-    std::fprintf(stderr, "bench_residency: missing sweep cell\n");
-    std::exit(2);
-  };
-  const Cell& step3 =
-      find_cell(fsbm::Version::kV3Offload3, mem::ResidencyMode::kStep);
-  const Cell& pers3 =
-      find_cell(fsbm::Version::kV3Offload3, mem::ResidencyMode::kPersist);
+  const Cell& step3 = cells[2];
+  const Cell& pers3 = cells[3];
   const double step_bytes = step3.h2d_steady + step3.d2h_steady;
   const double pers_bytes = pers3.h2d_steady + pers3.d2h_steady;
   const double reduction = step_bytes / (pers_bytes > 0 ? pers_bytes : 1.0);
   const int exit_code = reduction >= 5.0 ? 0 : 1;
 
   if (json) {
-    print_json(cells, nx, ny, nz, nsteps);
+    bench::print_point("residency", [&](obs::JsonWriter& w) {
+      w.key("context").begin_object().field("executable", "bench_residency");
+      w.field("grid", bench::grid_name(nx, ny, nz)).field("nsteps", nsteps);
+      w.field("exec", "device").end_object();
+      write_traffic(w, "v3_step", step3);
+      write_traffic(w, "v3_persist", pers3);
+      write_traffic(w, "v2_step", cells[0]);
+      write_traffic(w, "v2_persist", cells[1]);
+      w.field("steady_state_reduction_x", reduction);
+      w.field("meets_5x_bar", exit_code == 0);
+    });
     return exit_code;
   }
 

@@ -24,11 +24,13 @@
 //   default 8 jobs per class (24 jobs per pool width) and 3 whole-stream
 //   repetitions per width — every wall metric is a min/median/CV
 //   aggregate over the reps and the committed numbers are medians; the
-//   CI smoke passes 3 jobs per class.  JSON mode emits one record per
-//   pool width; scripts/bench_json.sh distills BENCH_service.json.
+//   CI smoke passes 3 jobs per class.  JSON mode prints the trajectory
+//   point BENCH_service.json: one record per pool width and the six
+//   gates.
 
 #include <algorithm>
 #include <cstdio>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -183,48 +185,31 @@ SweepAgg run_pool_reps(int lanes, int jobs_per_class, int reps) {
   return agg;
 }
 
-void print_json(const std::vector<SweepAgg>& sweeps, int jobs_per_class,
-                unsigned hw_threads) {
-  std::printf("{\n  \"context\": {\"executable\": \"bench_service\", "
-              "\"jobs_per_class\": %d, \"batch_max\": 4, "
-              "\"class_weights\": [8, 3, 1], \"hw_threads\": %u},\n",
-              jobs_per_class, hw_threads);
-  std::printf("  \"benchmarks\": [\n");
-  for (std::size_t n = 0; n < sweeps.size(); ++n) {
-    const SweepAgg& s = sweeps[n];
-    // Wall metrics are rep medians (historical key names unchanged);
-    // makespan additionally reports its min and CV, and `reps` records
-    // the sample count behind every aggregate.
-    std::printf(
-        "    {\"name\": \"service/lanes=%d\", \"run_type\": \"aggregate\", "
-        "\"jobs\": %d, \"completed\": %llu, \"rejected\": %llu, "
-        "\"failed\": %llu, \"makespan_s\": %.4f, \"makespan_min_s\": %.4f, "
-        "\"makespan_cv\": %.3f, \"reps\": %d, \"jobs_per_s\": %.3f, "
-        "\"wait_p50_s\": %.4f, \"wait_p95_s\": %.4f, "
-        "\"wait_mean_interactive_s\": %.4f, \"wait_mean_ensemble_s\": %.4f, "
-        "\"wait_mean_batch_s\": %.4f, \"pool_parallelism\": %.3f, "
-        "\"occupancy\": %.3f, \"dispatches\": %llu, \"batches\": %llu, "
-        "\"batched_jobs\": %llu, \"deadline_met\": %llu, "
-        "\"deadline_jobs\": %llu}%s\n",
-        s.lanes, s.jobs,
-        static_cast<unsigned long long>(s.stats.completed()),
-        static_cast<unsigned long long>(s.stats.rejected()),
-        static_cast<unsigned long long>(s.stats.failed()),
-        s.makespan.median, s.makespan.min, s.makespan.cv, s.makespan.reps,
-        s.jobs_per_sec.median, s.wait_p50.median, s.wait_p95.median,
-        s.class_wait_mean[0].median, s.class_wait_mean[1].median,
-        s.class_wait_mean[2].median, s.pool_parallelism.median,
-        s.lanes > 0 ? s.pool_parallelism.median / s.lanes : 0.0,
-        static_cast<unsigned long long>(s.stats.dispatches),
-        static_cast<unsigned long long>(s.stats.batches),
-        static_cast<unsigned long long>(s.stats.batched_jobs),
-        static_cast<unsigned long long>(
-            s.stats.cls[0].deadline_met),
-        static_cast<unsigned long long>(
-            s.stats.cls[0].deadline_jobs),
-        n + 1 < sweeps.size() ? "," : "");
-  }
-  std::printf("  ]\n}\n");
+/// One pool width's record.  Wall metrics are rep medians (historical
+/// key names unchanged); makespan additionally reports its min and CV,
+/// and `reps` records the sample count behind every aggregate.
+void write_pool(obs::JsonWriter& w, const SweepAgg& s) {
+  w.begin_object().field("name", "service/lanes=" + std::to_string(s.lanes));
+  w.field("run_type", "aggregate").field("jobs", s.jobs);
+  w.field("completed", s.stats.completed());
+  w.field("rejected", s.stats.rejected()).field("failed", s.stats.failed());
+  w.field("makespan_s", s.makespan.median);
+  w.field("makespan_min_s", s.makespan.min);
+  w.field("makespan_cv", s.makespan.cv).field("reps", s.makespan.reps);
+  w.field("jobs_per_s", s.jobs_per_sec.median);
+  w.field("wait_p50_s", s.wait_p50.median);
+  w.field("wait_p95_s", s.wait_p95.median);
+  w.field("wait_mean_interactive_s", s.class_wait_mean[0].median);
+  w.field("wait_mean_ensemble_s", s.class_wait_mean[1].median);
+  w.field("wait_mean_batch_s", s.class_wait_mean[2].median);
+  w.field("pool_parallelism", s.pool_parallelism.median);
+  w.field("occupancy", s.pool_parallelism.median / s.lanes);
+  w.field("dispatches", s.stats.dispatches);
+  w.field("batches", s.stats.batches);
+  w.field("batched_jobs", s.stats.batched_jobs);
+  w.field("deadline_met", s.stats.cls[0].deadline_met);
+  w.field("deadline_jobs", s.stats.cls[0].deadline_jobs);
+  w.end_object();
 }
 
 }  // namespace
@@ -274,7 +259,20 @@ int main(int argc, char** argv) {
                             : 1;
 
   if (json) {
-    print_json(sweeps, jobs_per_class, hw);
+    bench::print_point("service", [&](obs::JsonWriter& w) {
+      w.key("context").begin_object().field("executable", "bench_service");
+      w.field("jobs_per_class", jobs_per_class).field("batch_max", 4);
+      w.key("class_weights").begin_array().value(8).value(3).value(1);
+      w.end_array().field("hw_threads", hw).end_object();
+      w.key("pools").begin_array();
+      for (const SweepAgg& s : sweeps) write_pool(w, s);
+      w.end_array();
+      w.field("pool_parallelism_ok", parallelism_ok);
+      w.field("wait_p50_shrinks", waits_shrink);
+      w.field("fair_share_wait_ordered", fair_share_ordered);
+      w.field("batching_every_width", batching_ok);
+      w.field("clean", clean).field("throughput_holds", throughput_holds);
+    });
     return exit_code;
   }
 

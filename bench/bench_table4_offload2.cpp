@@ -28,8 +28,9 @@
 // metric); the counter columns are deterministic and measured once.
 //
 // Usage: bench_table4_offload2 [nx ny nz nsteps] [--benchmark_format=json]
-//   JSON mode runs only the hetero sweep and emits one record per
-//   version; scripts/bench_json.sh distills BENCH_hetero.json from it.
+//   JSON mode runs only the hetero sweep and prints the trajectory
+//   point BENCH_hetero.json: one object per version, the v3 split and
+//   traffic ratio, and the two gates.
 
 #include "offload_runner.hpp"
 
@@ -109,52 +110,24 @@ HeteroCell measure_hetero(fsbm::Version v, int nx, int ny, int nz,
   return c;
 }
 
-void print_hetero_json(const HeteroCell* cells, int n, int nx, int ny, int nz,
-                       int nsteps) {
-  std::printf("{\n  \"context\": {\"executable\": \"bench_table4_offload2\", "
-              "\"grid\": \"%dx%dx%d\", \"nsteps\": %d, \"sweep\": "
-              "\"hetero\"},\n",
-              nx, ny, nz, nsteps);
-  std::printf("  \"benchmarks\": [\n");
-  for (int i = 0; i < n; ++i) {
-    const HeteroCell& c = cells[i];
-    std::printf(
-        "    {\"name\": \"hetero/%s\", \"run_type\": \"aggregate\", "
-        "\"split_fraction\": %.6f, \"device_shard_cells\": %llu, "
-        "\"host_shard_cells\": %llu, \"wall_device_shard_s_min\": %.6f, "
-        "\"wall_device_shard_s_median\": %.6f, "
-        "\"wall_device_shard_cv\": %.3f, "
-        "\"wall_host_shard_s_min\": %.6f, "
-        "\"wall_host_shard_s_median\": %.6f, "
-        "\"wall_host_shard_cv\": %.3f, \"reps\": %d, "
-        "\"hetero_h2d_bytes\": %llu, "
-        "\"hetero_d2h_bytes\": %llu, \"full_h2d_bytes\": %llu, "
-        "\"full_d2h_bytes\": %llu, \"hetero_kernel_ms\": %.4f, "
-        "\"full_kernel_ms\": %.4f, \"exact_shard_scaling\": %s}%s\n",
-        fsbm::version_name(c.version), c.frac,
-        static_cast<unsigned long long>(c.dev_cells),
-        static_cast<unsigned long long>(c.host_cells), c.wall_dev.min,
-        c.wall_dev.median, c.wall_dev.cv, c.wall_host.min,
-        c.wall_host.median, c.wall_host.cv, c.wall_dev.reps,
-        static_cast<unsigned long long>(c.het_h2d),
-        static_cast<unsigned long long>(c.het_d2h),
-        static_cast<unsigned long long>(c.base_h2d),
-        static_cast<unsigned long long>(c.base_d2h), c.het_kernel_ms,
-        c.base_kernel_ms, c.exact_scaling ? "true" : "false",
-        i + 1 < n ? "," : "");
-  }
-  std::printf("  ]\n}\n");
-}
-
-int hetero_gate(const HeteroCell* cells, int n) {
-  // The coherence contract the acceptance bar tracks: shard-granular
-  // traffic scales exactly with predicate-true cells, and the split is
-  // nontrivial (the sounding's cold upper rows stayed on the host).
-  for (int i = 0; i < n; ++i) {
-    if (!cells[i].exact_scaling) return 1;
-    if (cells[i].dev_cells == 0 || cells[i].host_cells == 0) return 1;
-  }
-  return 0;
+void write_cell(obs::JsonWriter& w, const char* key, const HeteroCell& c) {
+  w.key(key).begin_object();
+  w.field("name", std::string("hetero/") + fsbm::version_name(c.version));
+  w.field("run_type", "aggregate").field("split_fraction", c.frac);
+  w.field("device_shard_cells", c.dev_cells);
+  w.field("host_shard_cells", c.host_cells);
+  w.field("wall_device_shard_s_min", c.wall_dev.min);
+  w.field("wall_device_shard_s_median", c.wall_dev.median);
+  w.field("wall_device_shard_cv", c.wall_dev.cv);
+  w.field("wall_host_shard_s_min", c.wall_host.min);
+  w.field("wall_host_shard_s_median", c.wall_host.median);
+  w.field("wall_host_shard_cv", c.wall_host.cv);
+  w.field("reps", c.wall_dev.reps);
+  w.field("hetero_h2d_bytes", c.het_h2d).field("hetero_d2h_bytes", c.het_d2h);
+  w.field("full_h2d_bytes", c.base_h2d).field("full_d2h_bytes", c.base_d2h);
+  w.field("hetero_kernel_ms", c.het_kernel_ms);
+  w.field("full_kernel_ms", c.base_kernel_ms);
+  w.field("exact_shard_scaling", c.exact_scaling).end_object();
 }
 
 }  // namespace
@@ -166,18 +139,40 @@ int main(int argc, char** argv) {
       argc, argv, "bench_table4_offload2", {107, 75, 50, 1});
 
   const int reps = 3;
+  // The coherence contract the acceptance bar tracks, as the two gates
+  // the exit code is built from: shard-granular traffic scales exactly
+  // with predicate-true cells, and the split is two-sided (the
+  // sounding's cold upper rows stayed on the host).
   HeteroCell het[2];
+  bool exact = true, split = true;
   auto sweep_hetero = [&]() {
-    het[0] =
-        measure_hetero(fsbm::Version::kV2Offload2, nx, ny, nz, nsteps, reps);
-    het[1] =
-        measure_hetero(fsbm::Version::kV3Offload3, nx, ny, nz, nsteps, reps);
+    const fsbm::Version versions[2] = {fsbm::Version::kV2Offload2,
+                                       fsbm::Version::kV3Offload3};
+    for (int i = 0; i < 2; ++i) {
+      het[i] = measure_hetero(versions[i], nx, ny, nz, nsteps, reps);
+      exact = exact && het[i].exact_scaling;
+      split = split && het[i].dev_cells > 0 && het[i].host_cells > 0;
+    }
+    return exact && split ? 0 : 1;
   };
 
   if (json) {
-    sweep_hetero();
-    print_hetero_json(het, 2, nx, ny, nz, nsteps);
-    return hetero_gate(het, 2);
+    const int exit_code = sweep_hetero();
+    bench::print_point("hetero", [&](obs::JsonWriter& w) {
+      w.key("context").begin_object();
+      w.field("executable", "bench_table4_offload2");
+      w.field("grid", bench::grid_name(nx, ny, nz)).field("nsteps", nsteps);
+      w.field("sweep", "hetero").end_object();
+      write_cell(w, "v2", het[0]);
+      write_cell(w, "v3", het[1]);
+      const HeteroCell& v3 = het[1];
+      w.field("split_fraction", v3.frac);
+      w.field("h2d_reduction_x",
+              static_cast<double>(v3.base_h2d) /
+                  std::max(static_cast<double>(v3.het_h2d), 1.0));
+      w.field("exact_shard_scaling", exact).field("two_sided_split", split);
+    });
+    return exit_code;
   }
 
   bench::print_config_header(
@@ -232,7 +227,7 @@ int main(int argc, char** argv) {
               v2.kernel->occupancy.achieved < 0.10 ? "yes" : "NO");
 
   // ---- heterogeneous dispatch sweep (exec=hetero) -------------------
-  sweep_hetero();
+  const int exit_code = sweep_hetero();
   std::printf("heterogeneous dispatch (exec=hetero, %dx%dx%d, %d step%s, "
               "%d wall reps):\n",
               nx, ny, nz, nsteps, nsteps == 1 ? "" : "s", reps);
@@ -247,9 +242,8 @@ int main(int argc, char** argv) {
                 static_cast<double>(c.het_h2d) / 1e6,
                 static_cast<double>(c.base_h2d) / 1e6, c.het_kernel_ms);
   }
-  const int gate = hetero_gate(het, 2);
   std::printf("shape check: device-shard traffic scales exactly with "
-              "predicate-true cells and the split is two-sided (%s)\n",
-              gate == 0 ? "yes" : "NO");
-  return gate;
+              "predicate-true cells (%s) and the split is two-sided (%s)\n",
+              exact ? "yes" : "NO", split ? "yes" : "NO");
+  return exit_code;
 }

@@ -20,8 +20,8 @@
 //                    [artifact=<path>] [keep=N] [target_cv=X]
 //                    [--benchmark_format=json]
 //   default: the 107x75x50 CONUS rank patch, v3, 2 comparison steps,
-//   artifact written to ./tuned.json.  scripts/bench_json.sh distills
-//   BENCH_tuner.json from the JSON mode.
+//   artifact written to ./tuned.json.  JSON mode prints the trajectory
+//   point BENCH_tuner.json: both sides, the winner and the three gates.
 
 #include <charconv>
 #include <cmath>
@@ -86,46 +86,13 @@ double parse_cv(const std::string& v) {
   return cv;
 }
 
-void print_json(const tune::TuneReport& rep, const Side& untuned,
-                const Side& tuned, const std::string& artifact_path,
-                const model::RunConfig& base, int compare_steps,
-                bool bitwise_ok) {
-  const tune::MachineFingerprint& m = rep.artifact.machine;
-  std::printf("{\n  \"context\": {\"executable\": \"bench_tuner\", "
-              "\"grid\": \"%dx%dx%d\", \"nsteps\": %d, "
-              "\"version\": \"%s\", \"device\": \"%s\", "
-              "\"hw_threads\": %d, \"artifact\": \"%s\", "
-              "\"artifact_schema\": %d},\n",
-              base.nx, base.ny, base.nz, compare_steps,
-              fsbm::version_name(base.version), m.device.c_str(),
-              m.hw_threads, artifact_path.c_str(),
-              tune::kArtifactSchemaVersion);
-  std::printf("  \"benchmarks\": [\n");
-  const Side* sides[2] = {&untuned, &tuned};
-  for (int i = 0; i < 2; ++i) {
-    const Side& s = *sides[i];
-    std::printf(
-        "    {\"name\": \"tuner/%s\", \"run_type\": \"aggregate\", "
-        "\"wall_s_min\": %.4f, \"wall_s_median\": %.4f, "
-        "\"wall_cv\": %.3f, \"reps\": %d, \"cellsteps_per_s\": %.0f},\n",
-        s.name, s.wall.min, s.wall.median, s.wall.cv, s.wall.reps,
-        s.cellsteps_per_s);
-  }
-  const tune::TunedEntry& e = rep.entry;
-  std::printf(
-      "    {\"name\": \"tuner/winner\", \"run_type\": \"meta\", "
-      "\"knobs\": \"%s\", \"shape\": \"%s\", \"deciding_steps\": %d, "
-      "\"deciding_cv\": %.3f, \"space_size\": %d, "
-      "\"measured_points\": %d, \"measured_runs\": %d, "
-      "\"rungs\": %d, \"speedup\": %.3f, \"bitwise_identical\": %s}\n",
-      e.knobs.c_str(), e.shape.c_str(), e.steps, e.wall.cv, rep.space_size,
-      rep.measured_points, rep.measured_runs,
-      static_cast<int>(e.ladder.size()),
-      untuned.cellsteps_per_s > 0
-          ? tuned.cellsteps_per_s / untuned.cellsteps_per_s
-          : 0.0,
-      bitwise_ok ? "true" : "false");
-  std::printf("  ]\n}\n");
+void write_side(obs::JsonWriter& w, const Side& s) {
+  w.key(s.name).begin_object();
+  w.field("name", std::string("tuner/") + s.name);
+  w.field("run_type", "aggregate");
+  w.field("wall_s_min", s.wall.min).field("wall_s_median", s.wall.median);
+  w.field("wall_cv", s.wall.cv).field("reps", s.wall.reps);
+  w.field("cellsteps_per_s", s.cellsteps_per_s).end_object();
 }
 
 }  // namespace
@@ -195,9 +162,36 @@ int main(int argc, char** argv) {
   const bool stable = rep.entry.wall.cv <= opts.policy.target_cv;
   const int exit_code = faster && stable && bitwise_ok ? 0 : 1;
 
+  const double speedup =
+      untuned_side.cellsteps_per_s > 0
+          ? tuned_side.cellsteps_per_s / untuned_side.cellsteps_per_s
+          : 0.0;
+
   if (json) {
-    print_json(rep, untuned_side, tuned_side, artifact_path, base,
-               compare_steps, bitwise_ok);
+    bench::print_point("tuner", [&](obs::JsonWriter& w) {
+      const tune::TunedEntry& e = rep.entry;
+      const tune::MachineFingerprint& m = rep.artifact.machine;
+      w.key("context").begin_object().field("executable", "bench_tuner");
+      w.field("grid", bench::grid_name(base.nx, base.ny, base.nz));
+      w.field("nsteps", compare_steps);
+      w.field("version", fsbm::version_name(base.version));
+      w.field("device", m.device).field("hw_threads", m.hw_threads);
+      w.field("artifact", artifact_path);
+      w.field("artifact_schema", tune::kArtifactSchemaVersion).end_object();
+      write_side(w, untuned_side);
+      write_side(w, tuned_side);
+      w.key("winner").begin_object().field("name", "tuner/winner");
+      w.field("run_type", "meta").field("knobs", e.knobs);
+      w.field("shape", e.shape).field("deciding_steps", e.steps);
+      w.field("deciding_cv", e.wall.cv).field("space_size", rep.space_size);
+      w.field("measured_points", rep.measured_points);
+      w.field("measured_runs", rep.measured_runs);
+      w.field("rungs", e.ladder.size()).field("speedup", speedup);
+      w.field("bitwise_identical", bitwise_ok).end_object();
+      w.field("speedup_x", speedup).field("tuned_not_slower", faster);
+      w.field("deciding_cv_ok", stable);
+      w.field("bitwise_identical", bitwise_ok);
+    });
     return exit_code;
   }
 
@@ -228,10 +222,7 @@ int main(int argc, char** argv) {
                 s->cellsteps_per_s, s->wall.min, s->wall.median, s->wall.cv,
                 s->wall.reps);
   }
-  std::printf("\nspeedup (tuned/untuned): %.2fx\n",
-              untuned_side.cellsteps_per_s > 0
-                  ? tuned_side.cellsteps_per_s / untuned_side.cellsteps_per_s
-                  : 0.0);
+  std::printf("\nspeedup (tuned/untuned): %.2fx\n", speedup);
   std::printf("gates: tuned>=untuned %s | deciding-rung CV<=%.2f %s | "
               "tune=file: bitwise identical %s\n",
               faster ? "yes" : "NO", opts.policy.target_cv,

@@ -1,6 +1,7 @@
 #include "obs/export.hpp"
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -72,7 +73,7 @@ std::string labels_json(const Metric& m) {
 
 }  // namespace
 
-std::string json_escape(const std::string& s) {
+std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
   for (const char c : s) {
@@ -94,6 +95,53 @@ std::string json_escape(const std::string& s) {
     }
   }
   return out;
+}
+
+JsonWriter& JsonWriter::raw(std::string_view token) {
+  if (!empty_.empty() && !after_key_) {  // a member or array element
+    if (!empty_.back()) out_ += ',';
+    empty_.back() = false;
+    out_ += '\n';
+    out_.append(2 * empty_.size(), ' ');
+  }
+  after_key_ = false;
+  out_ += token;
+  return *this;
+}
+
+JsonWriter& JsonWriter::open(char bracket) {
+  raw(std::string_view(&bracket, 1));
+  empty_.push_back(true);
+  return *this;
+}
+
+JsonWriter& JsonWriter::close(char bracket) {
+  const bool was_empty = empty_.back();
+  empty_.pop_back();
+  if (!was_empty) out_ += '\n' + std::string(2 * empty_.size(), ' ');
+  out_ += bracket;
+  if (empty_.empty()) out_ += '\n';
+  return *this;
+}
+
+JsonWriter& JsonWriter::key(std::string_view k) {
+  value(k);
+  out_ += ": ";
+  key_ = k;
+  after_key_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(std::string_view s) {
+  return raw('"' + json_escape(s) + '"');
+}
+
+JsonWriter& JsonWriter::value(double v) {
+  if (!std::isfinite(v)) {
+    throw Error("json: non-finite value for key '" + key_ + "'");
+  }
+  char buf[32];
+  return raw(std::string_view(buf, std::to_chars(buf, buf + 32, v).ptr));
 }
 
 std::string chrome_trace_json(const std::vector<TrackEvents>& tracks) {

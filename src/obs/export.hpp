@@ -16,7 +16,10 @@
 // util Error on I/O failure, so a mistyped obs=trace:path fails loudly
 // instead of silently dropping the trace.
 
+#include <charconv>
+#include <concepts>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/registry.hpp"
@@ -25,7 +28,49 @@
 namespace wrf::obs {
 
 /// Escape a string for embedding in a JSON string literal.
-std::string json_escape(const std::string& s);
+std::string json_escape(std::string_view s);
+
+/// The pretty-printing JSON document writer of the benches' trajectory
+/// points and tuned.json (two-space indent, one member or element per
+/// line).  It places the commas and the indentation; the caller
+/// pairs each begin with its end and puts a key() before each object
+/// member.  Doubles are written in the shortest form that round-trips
+/// through strtod; a non-finite double throws Error naming its key.
+class JsonWriter {
+ public:
+  JsonWriter& begin_object() { return open('{'); }
+  JsonWriter& end_object() { return close('}'); }
+  JsonWriter& begin_array() { return open('['); }
+  JsonWriter& end_array() { return close(']'); }
+  JsonWriter& key(std::string_view k);
+
+  JsonWriter& value(std::string_view s);
+  JsonWriter& value(const char* s) { return value(std::string_view(s)); }
+  JsonWriter& value(double v);
+  JsonWriter& value(bool b) { return raw(b ? "true" : "false"); }
+  template <std::integral T>
+  JsonWriter& value(T v) {
+    char buf[24];
+    return raw(std::string_view(buf, std::to_chars(buf, buf + 24, v).ptr));
+  }
+  template <class T>
+  JsonWriter& field(std::string_view k, const T& v) {
+    return key(k).value(v);
+  }
+
+  /// The document so far (complete once every begin has its end).
+  const std::string& str() const noexcept { return out_; }
+
+ private:
+  JsonWriter& raw(std::string_view token);
+  JsonWriter& open(char bracket);
+  JsonWriter& close(char bracket);
+
+  std::string out_;
+  std::vector<bool> empty_;  ///< per open container: nothing written yet
+  std::string key_;          ///< the last key, for error messages
+  bool after_key_ = false;   ///< a key() awaits its value
+};
 
 /// Render tracks as a Chrome trace-event JSON document
 /// ({"traceEvents":[...]}; pid 0, tid = track id).

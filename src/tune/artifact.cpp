@@ -1,10 +1,12 @@
 #include "tune/artifact.hpp"
 
-#include <cstdio>
+#include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <thread>
 
+#include "obs/export.hpp"
 #include "util/error.hpp"
 
 namespace wrf::tune {
@@ -38,82 +40,46 @@ void Artifact::upsert(TunedEntry entry) {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (c == '\n') {
-      out += "\\n";
-      continue;
-    }
-    out.push_back(c);
-  }
-  return out;
-}
-
-void write_aggregate_fields(std::ostream& os, const RepAggregate& a) {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "\"wall_min_s\": %.6f, \"wall_median_s\": %.6f, "
-                "\"wall_cv\": %.4f, \"reps\": %d",
-                a.min, a.median, a.cv, a.reps);
-  os << buf;
+void write_aggregate_fields(obs::JsonWriter& w, const RepAggregate& a) {
+  w.field("wall_min_s", a.min).field("wall_median_s", a.median);
+  w.field("wall_cv", a.cv).field("reps", a.reps);
 }
 
 }  // namespace
 
 void write_artifact(const std::string& path, const Artifact& artifact) {
-  std::ostringstream os;
-  os << "{\n";
-  os << "  \"schema_version\": " << artifact.schema_version << ",\n";
-  os << "  \"machine\": {\"hw_threads\": " << artifact.machine.hw_threads
-     << ", \"device\": \"" << json_escape(artifact.machine.device)
-     << "\"},\n";
-  os << "  \"entries\": [\n";
-  for (std::size_t n = 0; n < artifact.entries.size(); ++n) {
-    const TunedEntry& e = artifact.entries[n];
-    os << "    {\n";
-    os << "      \"shape\": \"" << json_escape(e.shape) << "\",\n";
-    os << "      \"knobs\": \"" << json_escape(e.knobs) << "\",\n";
-    os << "      \"steps\": " << e.steps << ",\n      ";
-    write_aggregate_fields(os, e.wall);
-    char buf[128];
-    std::snprintf(buf, sizeof(buf),
-                  ",\n      \"cellsteps_per_s\": %.1f,\n"
-                  "      \"baseline_cellsteps_per_s\": %.1f,\n",
-                  e.cellsteps_per_s, e.baseline_cellsteps_per_s);
-    os << buf;
-    os << "      \"ladder\": [\n";
-    for (std::size_t r = 0; r < e.ladder.size(); ++r) {
-      const Rung& rung = e.ladder[r];
-      std::snprintf(buf, sizeof(buf),
-                    "        {\"rung\": %d, \"steps\": %d, "
-                    "\"target_cv\": %.3f, \"points\": [\n",
-                    rung.rung, rung.steps, rung.target_cv);
-      os << buf;
-      for (std::size_t p = 0; p < rung.points.size(); ++p) {
-        const RungPoint& pt = rung.points[p];
-        os << "          {\"knobs\": \"" << json_escape(pt.knobs)
-           << "\", ";
-        write_aggregate_fields(os, pt.wall);
-        std::snprintf(buf, sizeof(buf),
-                      ", \"cellsteps_per_s\": %.1f, "
-                      "\"prior_ms_per_step\": %.4f, \"survived\": %s}",
-                      pt.cellsteps_per_s, pt.prior_ms_per_step,
-                      pt.survived ? "true" : "false");
-        os << buf << (p + 1 < rung.points.size() ? ",\n" : "\n");
+  obs::JsonWriter w;
+  w.begin_object().field("schema_version", artifact.schema_version);
+  w.key("machine").begin_object();
+  w.field("hw_threads", artifact.machine.hw_threads);
+  w.field("device", artifact.machine.device).end_object();
+  w.key("entries").begin_array();
+  for (const TunedEntry& e : artifact.entries) {
+    w.begin_object().field("shape", e.shape).field("knobs", e.knobs);
+    w.field("steps", e.steps);
+    write_aggregate_fields(w, e.wall);
+    w.field("cellsteps_per_s", e.cellsteps_per_s);
+    w.field("baseline_cellsteps_per_s", e.baseline_cellsteps_per_s);
+    w.key("ladder").begin_array();
+    for (const Rung& rung : e.ladder) {
+      w.begin_object().field("rung", rung.rung).field("steps", rung.steps);
+      w.field("target_cv", rung.target_cv).key("points").begin_array();
+      for (const RungPoint& pt : rung.points) {
+        w.begin_object().field("knobs", pt.knobs);
+        write_aggregate_fields(w, pt.wall);
+        w.field("cellsteps_per_s", pt.cellsteps_per_s);
+        w.field("prior_ms_per_step", pt.prior_ms_per_step);
+        w.field("survived", pt.survived).end_object();
       }
-      os << "        ]}" << (r + 1 < e.ladder.size() ? ",\n" : "\n");
+      w.end_array().end_object();
     }
-    os << "      ]\n";
-    os << "    }" << (n + 1 < artifact.entries.size() ? ",\n" : "\n");
+    w.end_array().end_object();
   }
-  os << "  ]\n}\n";
+  w.end_array().end_object();
 
   std::ofstream out(path, std::ios::trunc);
   if (!out) throw IoError("tuned artifact: cannot open '" + path + "'");
-  out << os.str();
+  out << w.str();
   if (!out.flush()) {
     throw IoError("tuned artifact: write to '" + path + "' failed");
   }
@@ -259,18 +225,49 @@ class JsonParser {
       if (c == '\\') {
         if (pos_ >= text_.size()) break;
         const char e = text_[pos_++];
-        if (e == 'n') {
-          out.push_back('\n');
-        } else if (e == '"' || e == '\\' || e == '/') {
-          out.push_back(e);
-        } else {
-          fail(std::string("unsupported escape '\\") + e + "'");
+        switch (e) {
+          case '"': case '\\': case '/': out.push_back(e); break;
+          case 'b': out.push_back('\b'); break;
+          case 'f': out.push_back('\f'); break;
+          case 'n': out.push_back('\n'); break;
+          case 'r': out.push_back('\r'); break;
+          case 't': out.push_back('\t'); break;
+          case 'u': append_utf8(out, hex4()); break;
+          default: fail(std::string("unsupported escape '\\") + e + "'");
         }
         continue;
       }
       out.push_back(c);
     }
     fail("unterminated string");
+  }
+
+  /// The four hex digits of a \uXXXX escape: a basic-plane code point
+  /// (the writer never emits surrogate pairs).
+  unsigned hex4() {
+    const char* first = text_.data() + pos_;
+    const char* last = text_.data() + std::min(pos_ + 4, text_.size());
+    unsigned cp = 0;
+    const auto r = std::from_chars(first, last, cp, 16);
+    if (last - first != 4 || r.ec != std::errc() || r.ptr != last) {
+      fail("malformed \\u escape");
+    }
+    if (cp >= 0xd800 && cp <= 0xdfff) fail("unsupported surrogate \\u escape");
+    pos_ += 4;
+    return cp;
+  }
+
+  static void append_utf8(std::string& out, unsigned cp) {
+    if (cp < 0x80) {
+      out.push_back(static_cast<char>(cp));
+    } else if (cp < 0x800) {
+      out.push_back(static_cast<char>(0xc0 | (cp >> 6)));
+      out.push_back(static_cast<char>(0x80 | (cp & 0x3f)));
+    } else {
+      out.push_back(static_cast<char>(0xe0 | (cp >> 12)));
+      out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3f)));
+      out.push_back(static_cast<char>(0x80 | (cp & 0x3f)));
+    }
   }
 
   Json number() {

@@ -14,6 +14,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <string>
@@ -102,6 +105,102 @@ TEST(ObsExport, JsonEscapeHandlesSpecials) {
   EXPECT_EQ(obs::json_escape("a\\b"), "a\\\\b");
   EXPECT_EQ(obs::json_escape("a\nb\tc"), "a\\nb\\tc");
   EXPECT_EQ(obs::json_escape(std::string("a\x01") + "b"), "a\\u0001b");
+}
+
+TEST(ObsJsonWriter, NestsObjectsAndArraysWithCommas) {
+  obs::JsonWriter w;
+  w.begin_object()
+      .field("name", "point")
+      .key("cells")
+      .begin_array()
+      .begin_object()
+      .field("bytes", std::uint64_t{12})
+      .field("ok", true)
+      .end_object()
+      .value(-3)
+      .begin_array()
+      .end_array()
+      .end_array()
+      .key("empty")
+      .begin_object()
+      .end_object()
+      .field("ratio", 2.5)
+      .end_object();
+  EXPECT_EQ(w.str(),
+            "{\n"
+            "  \"name\": \"point\",\n"
+            "  \"cells\": [\n"
+            "    {\n"
+            "      \"bytes\": 12,\n"
+            "      \"ok\": true\n"
+            "    },\n"
+            "    -3,\n"
+            "    []\n"
+            "  ],\n"
+            "  \"empty\": {},\n"
+            "  \"ratio\": 2.5\n"
+            "}\n");
+}
+
+TEST(ObsJsonWriter, EscapesEveryControlByte) {
+  std::string raw;
+  std::string want = "\"";
+  for (int c = 0x01; c < 0x20; ++c) {
+    raw.push_back(static_cast<char>(c));
+    if (c == '\n') {
+      want += "\\n";
+    } else if (c == '\r') {
+      want += "\\r";
+    } else if (c == '\t') {
+      want += "\\t";
+    } else {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
+      want += buf;
+    }
+  }
+  raw += "\"\\";
+  want += "\\\"\\\\\"";
+  obs::JsonWriter w;
+  w.value(raw);
+  EXPECT_EQ(w.str(), want);
+  for (const char c : w.str()) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20u) << "raw control byte";
+  }
+}
+
+TEST(ObsJsonWriter, NonFiniteDoubleThrowsNamingItsKey) {
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    obs::JsonWriter w;
+    w.begin_object().field("fine", 1.0);
+    try {
+      w.field("wall_s_min", bad);
+      ADD_FAILURE() << "no throw for " << bad;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("wall_s_min"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(ObsJsonWriter, DoublesRoundTripExactlyThroughStrtod) {
+  const double two53 = 9007199254740992.0;  // 2^53
+  for (const double v :
+       {0.1, 1e-300, -2.5e-8, 1.0 / 3.0, two53 + 2.0, 849856050.0, 0.0,
+        5e-324, 1.7976931348623157e308}) {
+    obs::JsonWriter w;
+    w.value(v);
+    EXPECT_EQ(std::strtod(w.str().c_str(), nullptr), v) << w.str();
+  }
+  obs::JsonWriter count;
+  count.value(two53 + 2.0);
+  EXPECT_EQ(count.str(), "9007199254740994");  // digits, not 9.0e+15
+  obs::JsonWriter tenth;
+  tenth.value(0.1);
+  EXPECT_EQ(tenth.str(), "0.1");
+  obs::JsonWriter big;
+  big.value(std::uint64_t{18446744073709551615u});
+  EXPECT_EQ(big.str(), "18446744073709551615");
 }
 
 /// Quote-aware structural JSON scan: every brace/bracket outside string

@@ -14,6 +14,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -163,14 +164,27 @@ tune::Artifact sample_artifact(const std::string& shape) {
 
 TEST(TuneArtifact, WriteLoadRoundTrip) {
   const std::string path = scratch_path("roundtrip");
-  const tune::Artifact art = sample_artifact("shape-a \"quoted\"");
+  tune::Artifact art = sample_artifact("shape-a \"quoted\"");
+  // Every control byte survives the writer's escapes and the parser.
+  std::string controls = "ctl \\ /";
+  for (int c = 0x01; c < 0x20; ++c) controls.push_back(static_cast<char>(c));
+  tune::TunedEntry ctl = art.entries[0];
+  ctl.shape = controls;
+  art.upsert(ctl);
   tune::write_artifact(path, art);
   const tune::Artifact back = tune::load_artifact(path);
+  std::ifstream in(path);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
   std::remove(path.c_str());
+  for (const char c : text) {  // strict JSON: no raw control byte
+    EXPECT_TRUE(static_cast<unsigned char>(c) >= 0x20 || c == '\n');
+  }
 
   EXPECT_EQ(back.schema_version, tune::kArtifactSchemaVersion);
   EXPECT_TRUE(back.machine == art.machine);
-  ASSERT_EQ(back.entries.size(), 1u);
+  ASSERT_EQ(back.entries.size(), 2u);
+  EXPECT_EQ(back.entries[1].shape, controls);
   const tune::TunedEntry& e = back.entries[0];
   EXPECT_EQ(e.shape, "shape-a \"quoted\"");  // escaping survives
   EXPECT_EQ(e.knobs, art.entries[0].knobs);
